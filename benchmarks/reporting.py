@@ -1,10 +1,13 @@
 """Machine-readable benchmark trajectory files (``BENCH_*.json``).
 
-Every benchmark run appends one JSON entry per measurement to a trajectory
-file at the repo root — ``BENCH_engine.json`` for the frequency-engine
-benchmarks, ``BENCH_transport.json`` for the executor backends — so the
-performance story of the codebase is data in the tree, not prose in commit
-messages.  An entry records what was measured (bench name, problem size
+A benchmark run with ``REPRO_BENCH_RECORD=1`` in the environment appends one
+JSON entry per measurement to a trajectory file at the repo root —
+``BENCH_engine.json`` for the frequency-engine benchmarks,
+``BENCH_transport.json`` for the executor backends — so the performance story
+of the codebase is data in the tree, not prose in commit messages.  Without
+the variable (every plain ``pytest`` run) :func:`record` still builds and
+returns the entry but writes nothing, so a test run leaves the tree clean.
+An entry records what was measured (bench name, problem size
 ``n``/``d``/``k``), the result (wall seconds, throughput, speedup over the
 named baseline) and enough environment to interpret it (python / numpy /
 numba versions, platform, CPU count).
@@ -30,6 +33,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Oldest entries are dropped beyond this many, keeping the files reviewable.
 MAX_ENTRIES = 200
+
+#: Environment variable that must be ``"1"`` for :func:`record` to write.
+RECORD_ENV = "REPRO_BENCH_RECORD"
 
 _GIT_COMMIT_CACHE: List[Optional[str]] = []
 
@@ -150,11 +156,13 @@ def record(
     speedup: Optional[float] = None,
     **extra: Any,
 ) -> Dict[str, Any]:
-    """Append one measurement to the ``kind`` trajectory and return it.
+    """Build one measurement entry; append it to the ``kind`` trajectory.
 
     ``throughput`` is objects per second of the measured configuration;
     ``speedup`` is relative to whatever baseline the benchmark names in its
-    ``extra`` fields.  ``None`` fields are omitted from the entry.
+    ``extra`` fields.  ``None`` fields are omitted from the entry.  The file
+    is written only when :data:`RECORD_ENV` is ``"1"``; the entry is
+    returned either way.
     """
     entry: Dict[str, Any] = {
         "bench": bench,
@@ -170,6 +178,8 @@ def record(
     for key, value in extra.items():
         entry[key] = float(value) if isinstance(value, (np.floating,)) else value
     entry = {key: value for key, value in entry.items() if value is not None}
+    if os.environ.get(RECORD_ENV) != "1":
+        return entry
 
     entries = load(kind)
     entries.append(entry)

@@ -45,6 +45,7 @@ def test_trajectory_file_is_schema_valid(path):
 def test_record_output_validates(tmp_path, monkeypatch):
     reporting._git_commit()  # resolve (and cache) from the real repo root
     monkeypatch.setattr(reporting, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setenv(reporting.RECORD_ENV, "1")
     entry = reporting.record(
         "schema-selftest", "unit", n=10, d=2, k=3,
         wall_seconds=0.5, throughput=20.0, speedup=2.0, custom="x",
@@ -55,6 +56,24 @@ def test_record_output_validates(tmp_path, monkeypatch):
     assert isinstance(entry.get("commit"), str) and entry["commit"]
     (reloaded,) = reporting.load("schema-selftest")
     assert reporting.validate_entry(reloaded) == []
+
+
+def test_record_without_opt_in_writes_nothing(tmp_path, monkeypatch):
+    """A plain test run must not rewrite the tracked trajectory files."""
+    monkeypatch.delenv(reporting.RECORD_ENV, raising=False)
+    monkeypatch.setattr(reporting, "REPO_ROOT", str(tmp_path))
+    path = reporting.bench_path("engine")
+    with open(path, "w") as handle:
+        handle.write('[{"bench": "old", "recorded_at": "2026-08-08T00:00:00Z"}]\n')
+    with open(path, "rb") as handle:
+        before = handle.read()
+    entry = reporting.record("engine", "unit", n=10, wall_seconds=0.5)
+    assert reporting.validate_entry(entry) == []
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    reporting.record("fresh", "unit", n=10)
+    assert not os.path.exists(reporting.bench_path("fresh"))
+    assert sorted(os.listdir(tmp_path)) == ["BENCH_engine.json"]
 
 
 def test_validator_rejects_malformed_entries():

@@ -53,8 +53,10 @@ class CAME(BaseClusterer):
     max_iter:
         Maximum number of alternating iterations per restart.
     engine:
-        Frequency-table backend used for the mode/assignment steps
-        (``"auto"``, ``"dense"``, ``"chunked"`` or ``"loop"``).
+        Frequency-table backend used for the mode/assignment steps:
+        ``"auto"`` (default: ``"compiled"`` when numba is importable,
+        otherwise ``"dense"`` or ``"chunked"`` by the one-hot footprint),
+        ``"dense"``, ``"chunked"``, ``"compiled"`` or ``"loop"``.
     random_state:
         Seed or generator for mode initialisation.
 
@@ -118,9 +120,13 @@ class CAME(BaseClusterer):
         executor = self._make_executor(gamma, n_categories)
         try:
             executor.begin_epoch(self.n_clusters, None)
+            # Every restart draws its initial modes from the same distinct rows.
+            unique_rows = np.unique(gamma, axis=0)
             best: Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray, int]] = None
             for rng in spawn_rngs(self.random_state, self.n_init):
-                labels, theta, modes, objective, n_iter = self._single_run(gamma, executor, rng)
+                labels, theta, modes, objective, n_iter = self._single_run(
+                    gamma, unique_rows, executor, rng
+                )
                 if best is None or objective < best[0]:
                     best = (objective, labels, theta, modes, n_iter)
         finally:
@@ -165,7 +171,11 @@ class CAME(BaseClusterer):
         return InProcessShardExecutor(gamma, n_categories, engine=self.engine)
 
     def _single_run(
-        self, gamma: np.ndarray, executor, rng: np.random.Generator
+        self,
+        gamma: np.ndarray,
+        unique_rows: np.ndarray,
+        executor,
+        rng: np.random.Generator,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
         """One alternating-optimisation restart as LocalUpdate/GlobalStep rounds.
 
@@ -179,7 +189,7 @@ class CAME(BaseClusterer):
         n, sigma = gamma.shape
         theta = np.full(sigma, 1.0 / sigma)
 
-        modes = self._initial_modes(gamma, rng)
+        modes = self._initial_modes(gamma, unique_rows, rng)
         labels = executor.hamming_assign(modes, theta)
         labels = self._repair_empty(gamma, labels, rng)
 
@@ -200,9 +210,13 @@ class CAME(BaseClusterer):
         objective = self._objective(gamma, labels, modes, theta)
         return compact_labels(labels), theta, modes, objective, n_iter
 
-    def _initial_modes(self, gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Initialise modes from distinct rows of the encoding when possible."""
-        unique_rows = np.unique(gamma, axis=0)
+    def _initial_modes(
+        self, gamma: np.ndarray, unique_rows: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Initialise modes from distinct rows of the encoding when possible.
+
+        ``unique_rows`` is ``np.unique(gamma, axis=0)``, computed once per fit.
+        """
         k = self.n_clusters
         if unique_rows.shape[0] >= k:
             idx = rng.choice(unique_rows.shape[0], size=k, replace=False)

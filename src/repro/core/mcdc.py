@@ -130,8 +130,10 @@ class MCDC(BaseClusterer):
     update_mode:
         MGCPL execution engine (``"batch"`` or ``"online"``).
     engine:
-        Frequency-table backend shared by MGCPL and CAME (``"auto"``,
-        ``"dense"``, ``"chunked"`` or ``"loop"``); see :mod:`repro.engine`.
+        Frequency-table backend shared by MGCPL and CAME: ``"auto"``
+        (default: ``"compiled"`` when numba is importable, otherwise
+        ``"dense"`` or ``"chunked"`` by the one-hot footprint), ``"dense"``,
+        ``"chunked"``, ``"compiled"`` or ``"loop"``; see :mod:`repro.engine`.
     random_state:
         Seed or generator.
 

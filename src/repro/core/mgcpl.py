@@ -217,9 +217,10 @@ class MGCPL(BaseClusterer):
         ``"batch"`` (vectorised, default) or ``"online"`` (faithful
         object-at-a-time updates).
     engine:
-        Frequency-table backend: ``"auto"`` (default; dense or chunked by
-        problem size), ``"dense"``, ``"chunked"`` or ``"loop"`` (the slow
-        reference).  See :mod:`repro.engine`.
+        Frequency-table backend: ``"auto"`` (default: ``"compiled"`` when
+        numba is importable, otherwise ``"dense"`` or ``"chunked"`` by the
+        one-hot footprint), ``"dense"``, ``"chunked"``, ``"compiled"`` or
+        ``"loop"`` (the slow reference).  See :mod:`repro.engine`.
     use_feature_weights:
         Whether to use the feature-to-cluster weighting of Eqs. 14-18
         (disabling it falls back to the unweighted similarity of Eq. 1).

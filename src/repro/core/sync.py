@@ -38,6 +38,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.engine import EngineState, OneHotCache, make_engine
+from repro.engine.packed import competition_statistics, select_winners
 
 
 def contiguous_shards(n: int, n_shards: int) -> List[np.ndarray]:
@@ -149,57 +150,30 @@ def mgcpl_sweep_local(engine, labels: np.ndarray, broadcast: SweepBroadcast) -> 
     Eqs. 10-13 for the shard's objects only, and leaves the engine holding
     the shard's count contribution under the new assignment.
 
-    An engine exposing ``competitive_sweep`` (the compiled backend,
-    :mod:`repro.engine.compiled`) runs the whole similarity/selection/
-    statistics pass as one fused kernel call; the kernels replicate the
-    NumPy expression below operation for operation, so both paths produce
-    bit-identical :class:`ShardUpdate`\\ s.
+    Every packed engine exposes ``competitive_sweep``: the dense and
+    chunked backends run it as one cache-blocked NumPy pass
+    (:mod:`repro.engine.packed`), the compiled backend as fused kernels
+    (:mod:`repro.engine.compiled`).  The NumPy branch below — the whole
+    similarity matrix through the same selection and statistics helpers —
+    is the :class:`~repro.engine.reference.LoopEngine` reference path; all
+    paths produce bit-identical :class:`ShardUpdate`\\ s.
     """
     engine.restore(broadcast.state)
-    k = engine.n_clusters
     fused = getattr(engine, "competitive_sweep", None)
     if fused is not None:
-        winners, win_counts, win_gain, rival_pen, rival_counts, win_sim_total = fused(
+        winners, *stats = fused(
             labels, broadcast.u, broadcast.rho, broadcast.omega, broadcast.blocked
         )
-        changed = not np.array_equal(winners, labels)
-        engine.rebuild(winners)
-        return ShardUpdate(
-            labels=winners,
-            changed=changed,
-            state=engine.snapshot(),
-            win_counts=win_counts,
-            win_gain=win_gain,
-            rival_pen=rival_pen,
-            rival_counts=rival_counts,
-            win_sim_total=win_sim_total,
+    else:
+        sims = engine.similarity_matrix(
+            feature_weights=broadcast.omega, exclude_labels=labels
         )
-    sims = engine.similarity_matrix(
-        feature_weights=broadcast.omega, exclude_labels=labels
-    )
-    scores = (1.0 - broadcast.rho)[None, :] * broadcast.u[None, :] * sims
-    if broadcast.blocked.any():
-        scores[:, broadcast.blocked] = -np.inf
-
-    n = sims.shape[0]
-    rows = np.arange(n)
-    winners = scores.argmax(axis=1)
-    rival_scores = scores.copy()
-    rival_scores[rows, winners] = -np.inf
-    rivals = rival_scores.argmax(axis=1)
-    has_rival = np.isfinite(rival_scores[rows, rivals])
-
-    win_counts = np.bincount(winners, minlength=k).astype(np.float64)
-    winner_sims = sims[rows, winners]
-    rival_sims = np.where(has_rival, sims[rows, rivals], 0.0)
-    margins = np.clip(winner_sims - rival_sims, 0.0, None)
-    win_gain = np.bincount(winners, weights=margins, minlength=k)
-    win_sim_total = np.bincount(winners, weights=winner_sims, minlength=k)
-    rival_pen = np.zeros(k, dtype=np.float64)
-    rival_counts = np.zeros(k, dtype=np.float64)
-    if has_rival.any():
-        np.add.at(rival_pen, rivals[has_rival], rival_sims[has_rival])
-        rival_counts = np.bincount(rivals[has_rival], minlength=k).astype(np.float64)
+        selection = select_winners(
+            sims, (1.0 - broadcast.rho) * broadcast.u, broadcast.blocked
+        )
+        winners = selection[0]
+        stats = competition_statistics(*selection, engine.n_clusters)
+    win_counts, win_gain, rival_pen, rival_counts, win_sim_total = stats
 
     changed = not np.array_equal(winners, labels)
     engine.rebuild(winners)

@@ -6,7 +6,8 @@ distributed pre-partitioner — evaluates the paper's object-cluster similarity
 (Eqs. 1-2 and 14-18) through one of the backends in this package:
 
 * :class:`DenseEngine` — packed ``(k, M)`` counts, cached one-hot, BLAS
-  similarity kernels; the default.
+  similarity kernels and MGCPL's sweep fused into one cache-blocked pass;
+  the default.
 * :class:`ChunkedEngine` — same kernels streamed over object blocks to bound
   peak memory at large ``n`` (Fig. 6 scale and beyond).
 * :class:`CompiledEngine` — numba-compiled fused sweep kernels over the

@@ -14,8 +14,35 @@ ops with no Python loop over features or clusters:
 * ``similarity_matrix`` is a one-hot encoding of the objects multiplied
   (BLAS) with the column-normalised, weight-scaled packed counts, with the
   leave-one-out correction applied through one gather per object block;
+* ``competitive_sweep`` — MGCPL's batch sweep — is the same kernel fused
+  with scoring and winner/rival selection, one cache-sized row block at a
+  time (see below);
 * the Eqs. 15-18 statistics reduce per-feature segments of the packed matrix
   with :func:`numpy.add.reduceat`.
+
+The fused sweep
+---------------
+Scoring a whole sweep at once would write and re-read several ``(n, k)``
+float matrices (similarities, scores, the argmax passes and gathers over
+them) — at ``n = 50 000``, ``k = 224`` each is ~89 MB, far beyond L2.  The
+fused sweep runs each block of rows through similarity, the leave-one-out
+correction, scoring and selection before the next block starts, keeping
+only five per-row vectors (winners, rivals, their similarities,
+has-rival); no ``(n, k)`` array exists at any point.  The Eqs. 10-13
+statistics are then accumulated once over the full vectors in object
+order, exactly as over an unblocked sweep.
+
+A block holds :data:`SWEEP_BLOCK_BYTES` of ``(rows, k)`` float64 scores, but
+never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer than
+:data:`SWEEP_BLOCK_MIN_MACS` multiply-adds, and the rows are split evenly so
+there is no short tail block.  The floors keep the sweep bit-identical to
+the whole-matrix product.  OpenBLAS does not give the same bits for every
+shape: a single-row product differs at every ``k``, and on AVX-512 builds a
+product of at most 10**6 multiply-adds goes through a small-matrix kernel
+that sums the trailing cluster columns in another order (at ``k = 19`` and
+``M = 30``, blocks below ~1750 rows differ in about two thirds of the
+rows).  Above both floors a block reproduces the full ``onehot @ weights``
+— itself equal to the per-feature, loop-order sum — bit for bit.
 
 Two production backends share this machinery:
 
@@ -28,7 +55,7 @@ Two production backends share this machinery:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +69,85 @@ from repro.engine.state import (
     expand_per_feature,
 )
 from repro.utils.validation import check_array_2d, check_positive_int
+
+#: Byte budget of one fused-sweep block's ``(rows, k)`` float64 scores.
+SWEEP_BLOCK_BYTES = 4 << 20
+
+#: Fewest rows in a fused-sweep block; thinner GEMMs change the bits.
+SWEEP_BLOCK_MIN_ROWS = 1024
+
+#: Fewest multiply-adds (``rows * M * k``) in a fused-sweep block's GEMM.
+#: OpenBLAS's AVX-512 builds hand products of up to 10**6 of them to
+#: small-matrix kernels that sum the trailing columns in another order.
+SWEEP_BLOCK_MIN_MACS = 1 << 21
+
+
+def sweep_rows(k: int, n_values: int) -> int:
+    """Target rows per fused-sweep block for ``k`` clusters and ``M`` values."""
+    return max(
+        SWEEP_BLOCK_MIN_ROWS,
+        SWEEP_BLOCK_BYTES // (8 * k),
+        SWEEP_BLOCK_MIN_MACS // (k * n_values) + 1,
+    )
+
+
+def sweep_blocks(n: int, k: int, n_values: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` row blocks of a fused sweep over ``n`` objects.
+
+    ``n // rows`` blocks of near-equal size (at least one), so every block
+    of a multi-block sweep has at least :func:`sweep_rows` rows.
+    """
+    n_blocks = max(1, n // sweep_rows(k, n_values))
+    return [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
+
+
+def select_winners(
+    sims: np.ndarray, t: np.ndarray, blocked: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Winner/rival selection of MGCPL's competition for a block of objects.
+
+    Scores are ``t_l * sim`` with ``t = (1 - rho) * u`` and ``-inf`` for
+    blocked clusters; ties go to the lowest cluster index (``argmax``).
+    Returns ``(winners, rivals, winner_sims, rival_sims, has_rival)``; an
+    object without a finite runner-up has ``rival_sims == 0``.
+    """
+    scores = t[None, :] * sims
+    if blocked.any():
+        scores[:, blocked] = -np.inf
+    rows = np.arange(sims.shape[0])
+    winners = scores.argmax(axis=1)
+    scores[rows, winners] = -np.inf
+    rivals = scores.argmax(axis=1)
+    has_rival = np.isfinite(scores[rows, rivals])
+    winner_sims = sims[rows, winners]
+    rival_sims = np.where(has_rival, sims[rows, rivals], 0.0)
+    return winners, rivals, winner_sims, rival_sims, has_rival
+
+
+def competition_statistics(
+    winners: np.ndarray,
+    rivals: np.ndarray,
+    winner_sims: np.ndarray,
+    rival_sims: np.ndarray,
+    has_rival: np.ndarray,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eqs. 10-13 statistics of one sweep, accumulated in object order.
+
+    Returns ``(win_counts, win_gain, rival_pen, rival_counts,
+    win_sim_total)``.  Float addition is not associative, so callers pass
+    the whole sweep's vectors rather than summing per-block partials.
+    """
+    win_counts = np.bincount(winners, minlength=k).astype(np.float64)
+    margins = np.clip(winner_sims - rival_sims, 0.0, None)
+    win_gain = np.bincount(winners, weights=margins, minlength=k)
+    win_sim_total = np.bincount(winners, weights=winner_sims, minlength=k)
+    rival_pen = np.zeros(k, dtype=np.float64)
+    rival_counts = np.zeros(k, dtype=np.float64)
+    if has_rival.any():
+        np.add.at(rival_pen, rivals[has_rival], rival_sims[has_rival])
+        rival_counts = np.bincount(rivals[has_rival], minlength=k).astype(np.float64)
+    return win_counts, win_gain, rival_pen, rival_counts, win_sim_total
 
 
 class OneHotCache:
@@ -422,6 +528,60 @@ class PackedFrequencyEngine(FrequencyEngine):
         return s.sum(axis=1) / d
 
     # ------------------------------------------------------------------ #
+    # The fused competitive sweep (MGCPL's LocalUpdate hot loop)
+    # ------------------------------------------------------------------ #
+    def competitive_sweep(
+        self,
+        labels: np.ndarray,
+        u: np.ndarray,
+        rho: np.ndarray,
+        omega: Optional[np.ndarray],
+        blocked: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One shard-local competition pass, cache-blocked (module docstring).
+
+        Returns ``(winners, win_counts, win_gain, rival_pen, rival_counts,
+        win_sim_total)`` — bit-identical to :func:`select_winners` and
+        :func:`competition_statistics` over the whole
+        :meth:`similarity_matrix` with ``exclude_labels=labels``.
+        """
+        n = self._packed_codes.shape[0]
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape[0] != n:
+            raise ValueError("labels must have one entry per object")
+        t = (1.0 - np.asarray(rho, dtype=np.float64)) * np.asarray(u, dtype=np.float64)
+        blocked = np.asarray(blocked, dtype=np.bool_)
+        column_weights = self._column_weights(omega)
+        # Engines that stream similarity blocks (chunked) encode each block
+        # afresh; the others slice their cached one-hot.
+        onehot = self._cached_one_hot() if self._block_size(n) >= n else None
+
+        winners = np.empty(n, dtype=np.int64)
+        rivals = np.empty(n, dtype=np.int64)
+        winner_sims = np.empty(n, dtype=np.float64)
+        rival_sims = np.empty(n, dtype=np.float64)
+        has_rival = np.empty(n, dtype=np.bool_)
+        for start, stop in sweep_blocks(n, self.n_clusters, self.n_values):
+            sims = self._similarity_block(
+                self._packed_codes[start:stop],
+                column_weights,
+                labels[start:stop],
+                omega,
+                onehot=None if onehot is None else onehot[start:stop],
+            )
+            (
+                winners[start:stop],
+                rivals[start:stop],
+                winner_sims[start:stop],
+                rival_sims[start:stop],
+                has_rival[start:stop],
+            ) = select_winners(sims, t, blocked)
+        stats = competition_statistics(
+            winners, rivals, winner_sims, rival_sims, has_rival, self.n_clusters
+        )
+        return (winners, *stats)
+
+    # ------------------------------------------------------------------ #
     # Feature-cluster weighting (Eqs. 15-18)
     # ------------------------------------------------------------------ #
     def inter_cluster_difference(self) -> np.ndarray:
@@ -476,11 +636,16 @@ class PackedFrequencyEngine(FrequencyEngine):
 
 
 class DenseEngine(PackedFrequencyEngine):
-    """Default packed backend: whole-matrix kernels with a cached one-hot.
+    """Default packed backend: BLAS kernels over a cached one-hot.
 
     The ``(n, M)`` one-hot encoding of the (immutable) data matrix is built
-    once and reused by every similarity sweep, so a sweep is a single BLAS
-    multiply plus one gather for the leave-one-out correction.
+    once and reused.  ``similarity_matrix`` is one whole-matrix multiply plus
+    one gather for the leave-one-out correction; MGCPL's sweep
+    (``competitive_sweep``) runs the same kernel over row slices of the
+    cached one-hot, fused with scoring and selection, so its ``(rows, k)``
+    temporaries stay cache-sized.  Blocks are never thinner than
+    :func:`sweep_rows`, because thinner BLAS products do not reproduce the
+    whole-matrix bits.
     """
 
 
@@ -490,7 +655,8 @@ class ChunkedEngine(PackedFrequencyEngine):
     Similarity and Hamming kernels process ``chunk_size`` objects at a time,
     so peak additional memory is ``O(chunk_size * (M + k))`` regardless of
     ``n`` — the right backend for Fig. 6-scale data (``n`` in the hundreds of
-    thousands) and beyond.
+    thousands) and beyond.  The fused sweep encodes each of its own row
+    blocks (:func:`sweep_blocks`) instead of caching the full one-hot.
     """
 
     def __init__(

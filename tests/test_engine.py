@@ -11,6 +11,9 @@ Two invariants protect every consumer of :mod:`repro.engine`:
   weighted, leave-one-out), the Eqs. 15-18 weight statistics, modes and
   weighted Hamming distances — on random data with missing values and on the
   seed UCI benchmark data sets.
+* **Blocked sweep == whole-matrix sweep** — the cache-blocked
+  ``competitive_sweep`` returns bit-identical shard updates to the NumPy
+  reference path over the whole similarity matrix, for every block layout.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.packed as packed_mod
+from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
+from repro.core.sync import (
+    InProcessShardExecutor,
+    SweepBroadcast,
+    contiguous_shards,
+    mgcpl_sweep_local,
+)
 from repro.data.uci.registry import load_dataset
 from repro.distance.object_cluster import ClusterFrequencyTable
 from repro.engine import (
@@ -259,6 +270,132 @@ class TestBackendSelection:
         chunked = make_engine(codes, cats, 4, kind="chunked", labels=labels, chunk_size=7)
         dense = make_engine(codes, cats, 4, kind="dense", labels=labels)
         assert np.allclose(chunked.similarity_matrix(), dense.similarity_matrix(), atol=1e-12)
+
+
+class _NumPyPath:
+    """Engine proxy without ``competitive_sweep``: the whole-matrix path."""
+
+    def __init__(self, engine):
+        self._engine = engine
+
+    def __getattr__(self, name):
+        if name == "competitive_sweep":
+            raise AttributeError(name)
+        return getattr(self._engine, name)
+
+
+#: Block budgets forcing one block, or blocks at the row floors.
+ONE_BLOCK, FLOORS = 1 << 40, 1
+#: Vocabularies of the sweep problems (M = 30 packed values).
+SWEEP_CATS = [4, 7, 3, 8, 2, 6]
+
+
+def layout(name, k):
+    """``(budget, n, expected blocks)`` of a named block layout at ``k``.
+
+    ``one-block`` sweeps 3.33 floors' worth of rows in one block,
+    ``exact-multiple`` three floors in three equal blocks, and ``uneven``
+    3.33 floors in three blocks of unequal size.  Call it with the budget
+    at ``FLOORS``, so that :func:`sweep_rows` returns the floor.
+    """
+    rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+    return {
+        "one-block": (ONE_BLOCK, 3 * rows + rows // 3, 1),
+        "exact-multiple": (FLOORS, 3 * rows, 3),
+        "uneven": (FLOORS, 3 * rows + rows // 3, 3),
+    }[name]
+
+
+def sweep_problem(seed, n, k, first_sweep, weighted):
+    """Codes with missing values, a sweep's labels and a broadcast."""
+    rng = np.random.default_rng(seed)
+    d = len(SWEEP_CATS)
+    codes = np.stack([rng.integers(0, m, size=n) for m in SWEEP_CATS], axis=1)
+    codes[rng.random((n, d)) < 0.15] = -1
+    labels = rng.integers(0, k, size=n)
+    if first_sweep:  # mostly unassigned, as in an epoch's first sweep
+        labels[rng.random(n) < 0.9] = -1
+    state = make_engine(codes, SWEEP_CATS, k, kind="loop", labels=labels).snapshot()
+    broadcast = SweepBroadcast(
+        state=state,
+        u=cluster_weight_from_delta(rng.random(k)),
+        rho=winning_ratio(rng.random(k)),
+        omega=rng.random((d, k)) if weighted else None,
+        blocked=rng.random(k) < 0.2,
+    )
+    return codes, labels, broadcast
+
+
+def assert_updates_identical(a, b):
+    for field in (
+        "labels", "win_counts", "win_gain", "rival_pen", "rival_counts", "win_sim_total"
+    ):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.changed == b.changed
+    assert np.array_equal(a.state.packed, b.state.packed)
+    assert np.array_equal(a.state.valid_counts, b.state.valid_counts)
+    assert np.array_equal(a.state.sizes, b.state.sizes)
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("layout_name", ["one-block", "exact-multiple", "uneven"])
+    @pytest.mark.parametrize("kind", ["dense", "chunked"])
+    @pytest.mark.parametrize("k", [5, 19, 224])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("first_sweep", [False, True])
+    def test_blocked_sweep_matches_whole_matrix_path(
+        self, monkeypatch, layout_name, kind, k, weighted, first_sweep
+    ):
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        budget, n, n_blocks = layout(layout_name, k)
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", budget)
+        blocks = packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))
+        assert len(blocks) == n_blocks
+        codes, labels, broadcast = sweep_problem(k + n, n, k, first_sweep, weighted)
+        blocked = make_engine(codes, SWEEP_CATS, k, kind=kind)
+        # A chunk of all n rows makes the chunked similarity one product too.
+        whole_kwargs = {"chunk_size": n} if kind == "chunked" else {}
+        whole = make_engine(codes, SWEEP_CATS, k, kind=kind, **whole_kwargs)
+        assert_updates_identical(
+            mgcpl_sweep_local(blocked, labels, broadcast),
+            mgcpl_sweep_local(_NumPyPath(whole), labels, broadcast),
+        )
+
+    def test_sweep_blocks_layout(self, monkeypatch):
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        assert packed_mod.sweep_rows(224, 30) == 1024
+        # Small k * M: the multiply-add floor binds (2**21 / (19 * 30)).
+        assert packed_mod.sweep_rows(19, 30) == 3680
+        assert packed_mod.sweep_blocks(3100, 224, 30) == [(0, 1033), (1033, 2066), (2066, 3100)]
+        assert packed_mod.sweep_blocks(500, 224, 30) == [(0, 500)]
+        assert packed_mod.sweep_blocks(0, 224, 30) == [(0, 0)]
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", 4 << 20)
+        # 4 MiB of k=224 float64 rows is 2340 rows: 50k rows make 21 blocks.
+        blocks = packed_mod.sweep_blocks(50_000, 224, 72)
+        assert len(blocks) == 21
+        assert min(stop - start for start, stop in blocks) >= 2340
+
+    def test_shards_split_mid_block_match_single_shard(self, monkeypatch):
+        """Three uneven shards whose boundaries fall inside sweep blocks."""
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        k = 19
+        rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        n = 5 * rows
+        codes, labels, broadcast = sweep_problem(3, n, k, True, True)
+        # One shard sweeps five blocks of `rows`; shards of 1.7, 1.2 and 2.1
+        # blocks cut it at 1.7 and 2.9 blocks.
+        cuts = [0, 17 * rows // 10, 29 * rows // 10, n]
+        shards = [np.arange(a, b) for a, b in zip(cuts, cuts[1:])]
+        single = InProcessShardExecutor(codes, SWEEP_CATS, contiguous_shards(n, 1), engine="dense")
+        split = InProcessShardExecutor(codes, SWEEP_CATS, shards, engine="dense")
+        single.begin_epoch(k, labels)
+        split.begin_epoch(k, labels)
+        for _ in range(3):
+            one = single.sweep(broadcast)
+            three = split.sweep(broadcast)
+            assert np.array_equal(one.labels, three.labels)
+            assert np.array_equal(one.state.packed, three.state.packed)
+            broadcast.state = one.state
 
 
 class TestCompatibilityShim:
