@@ -3,7 +3,7 @@
 The serving tier's throughput story (ISSUE 7): a fleet of concurrent
 clients hammering one served model with single-row predicts.  The strict
 request/response path pays one full frame round-trip and one kernel launch
-per row; the pipelined client (tagged requests, compact frames) plus the
+per row; the pipelined client (tagged requests, read-ahead replies) plus the
 server-side micro-batcher (one read-lock + one kernel per coalesced batch)
 collapse both costs across every connected client.  Every measured
 configuration lands in ``BENCH_serving.json`` (via
@@ -12,11 +12,14 @@ configuration lands in ``BENCH_serving.json`` (via
 the tree.
 
 Armed assertion: at 64 concurrent clients, batched+pipelined predicts must
-be at least **3x** the sequential per-row throughput.  The measured margin
-on one CPU is ~an order of magnitude (the sequential path spends its budget
-on npz framing and per-request kernel launches), so 3x holds even on noisy
-CI.  Every benchmark also asserts the labels are bit-identical to the
-in-process model — speed never changes the answer.
+be at least **3x** the sequential per-row throughput.  The sequential path
+spends its budget on per-request system calls, thread hand-offs and kernel
+launches; the pipelined path shares them across a batch, and the batcher
+answers each session's share of a batch with one frame.  On a shared 2-CPU
+host the measured margin has a median of 5.4x over 20 runs, 4.1x at the
+lowest (it was ~10x on one CPU while the sequential path still paid npz
+framing on every request).  Every benchmark also asserts the labels are
+bit-identical to the in-process model — speed never changes the answer.
 
 Scaled down by default; export ``REPRO_BENCH_FULL=1`` for the acceptance
 scale.
@@ -165,8 +168,8 @@ def test_batched_pipelining_beats_sequential_at_64_clients(benchmark):
     benchmark.extra_info["pipelined_predicts_per_s"] = pipe_tp
     benchmark.extra_info["speedup"] = speedup
 
-    # Armed: batching+pipelining must pay for itself, with a wide margin
-    # (measured ~10x on one CPU; 3x absorbs machine noise).
+    # Armed: batching+pipelining must pay for itself (median 5.4x on a
+    # shared 2-CPU host; see the module docstring).
     assert speedup >= 3.0, (
         f"batched+pipelined {pipe_tp:.0f}/s is only {speedup:.2f}x the "
         f"sequential {seq_tp:.0f}/s at {N_CLIENTS} clients (needs >= 3x)"

@@ -31,7 +31,6 @@ from repro.distributed.resilience import (
 )
 from repro.distributed.runtime import (
     ShardedCAME,
-    ShardedCoordinator,
     ShardedMCDC,
     ShardedMCDCEncoder,
     ShardedMGCPL,
@@ -69,7 +68,6 @@ __all__ = [
     "make_node_pool",
     "MultiGranularPartitioner",
     "PartitionPlan",
-    "ShardedCoordinator",
     "ShardedMGCPL",
     "ShardedCAME",
     "ShardedMCDC",

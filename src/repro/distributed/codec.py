@@ -1,28 +1,25 @@
 """Shared wire codec and threaded frame server for every repro network tier.
 
-PR 4 introduced a pickle-free wire format for the multi-host TCP backend:
-every message is one length-prefixed frame whose body is an ``.npz`` archive —
-a ``__meta__`` JSON string (message kind, scalars) plus the numpy arrays,
-written with ``allow_pickle=False`` end to end so arrays round-trip
-bit-exactly.  The serving tier (:mod:`repro.serving`) speaks the same frames,
-so the codec now lives here, shared by both servers:
+Every message on every repro socket — shard-worker RPC, serving requests and
+replies, replication streams, the router — and every write-ahead-log record
+is one frame body in one layout (protocol version 3), pickle-free and
+bit-exact for the numeric dtypes the tiers exchange:
 
-* :func:`pack_message` / :func:`unpack_message` — frame body <-> ``(kind,
-  meta, arrays)``.  A body that is not a well-formed archive (truncated zip,
-  malformed JSON, missing ``__meta__``/``kind``) raises
-  :class:`~repro.distributed.transport.TransportError`, never a raw
-  ``zipfile``/``json`` exception — adversarial input must fail cleanly on
-  both ends of the socket.
-* :func:`pack_compact` — the lean single-array body used by the serving
-  tier's pipelined fast path (PR 7).  An npz body costs ~250µs to round-trip
-  even for a one-row predict (zipfile + JSON on both ends), which dominates a
-  micro-query; the compact layout (magic, JSON meta, one raw C-order array)
-  round-trips in a few µs and is bit-exact for the simple numeric dtypes the
-  serving requests use.  :func:`unpack_message` transparently accepts both
-  layouts (compact bodies start with :data:`COMPACT_MAGIC`, npz bodies with
-  ``PK``), so every consumer keeps one decode entry point and fuzzed compact
-  bodies fail with :class:`TransportError` like fuzzed archives do.
-* :func:`send_frame` / :func:`recv_frame` — the length-prefixed framing with
+* :func:`pack_message` / :func:`unpack_message` — ``(kind, meta, arrays)``
+  <-> frame body.  The body is :data:`FRAME_MAGIC`, a JSON meta (carrying
+  ``kind``) and N typed arrays as raw C-order bytes behind a small header
+  (name, dtype, shape).  The packer raises
+  :class:`~repro.distributed.transport.TransportError` for an array the
+  layout cannot carry; the reader raises it for any body that is not a
+  well-formed frame — an unknown magic (an npz or ``RFC1`` body of an older
+  version), truncation, bad JSON, a missing ``kind``, an unlisted dtype, a
+  shape larger than the bytes left, trailing bytes — never a raw
+  ``json``/``numpy`` exception, so adversarial input fails cleanly on both
+  ends of the socket.  npz stays the on-disk model archive format
+  (:mod:`repro.persistence`) and shard-cache format
+  (:mod:`repro.distributed.shardcache`); it never travels as a frame body.
+* :func:`send_frame` / :func:`send_frames` / :func:`recv_frame` and
+  :class:`FrameReader` — the length-prefixed framing with
   a frame-size cap enforced on *both* send and receive, so a corrupt length
   prefix can never turn into a multi-exabyte allocation and an oversized send
   fails at the sender with the real diagnosis.  The cap defaults to
@@ -32,9 +29,10 @@ so the codec now lives here, shared by both servers:
   per-operation socket timeouts are likewise configurable through
   ``REPRO_CONNECT_TIMEOUT`` / ``REPRO_IO_TIMEOUT``
   (:func:`default_connect_timeout` / :func:`default_io_timeout`).
-  :func:`recv_frame_interruptible` is the drain-aware variant used by
-  long-lived servers: it polls for the frame's first byte so an idle session
-  can notice a shutdown request instead of blocking in ``recv`` forever.
+  A :class:`FrameReader` is kept per connection by the serving tier: it
+  reads ahead, so a burst of pipelined frames costs one system call rather
+  than two per frame, and it can poll, so an idle session of a long-lived
+  server notices a shutdown request instead of blocking in ``recv`` forever.
 * :class:`ThreadedFrameServer` — the accept-loop skeleton shared by the shard
   worker (:class:`repro.distributed.rpc.WorkerServer`) and the model server
   (:class:`repro.serving.ModelServer`): bind immediately (so ``port=0``
@@ -44,7 +42,7 @@ so the codec now lives here, shared by both servers:
 * :func:`wal_record` / :func:`read_wal_records` — the on-disk record framing
   of the serving tier's write-ahead ingest log (PR 10).  A record is the
   wire frame layout plus a CRC: ``u64 body length | u32 crc32(body) | body``,
-  where the body is a regular :func:`pack_message` frame body.  The CRC is
+  where the body is a :func:`pack_message` frame body.  The CRC is
   what makes crash recovery exact: a record torn by a crash mid-append
   (truncated length, truncated body, or a body that does not match its
   checksum) is detected and *dropped*, never half-applied —
@@ -55,14 +53,14 @@ so the codec now lives here, shared by both servers:
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import socket
 import struct
 import threading
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,16 +68,16 @@ from repro.distributed.transport import TransportError
 
 __all__ = [
     "MAX_FRAME",
-    "COMPACT_MAGIC",
+    "FRAME_MAGIC",
     "frame_cap",
     "default_connect_timeout",
     "default_io_timeout",
     "pack_message",
-    "pack_compact",
     "unpack_message",
     "send_frame",
+    "send_frames",
     "recv_frame",
-    "recv_frame_interruptible",
+    "FrameReader",
     "wal_record",
     "read_wal_records",
     "parse_address",
@@ -157,257 +155,259 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------- #
-# Codec: frames of (JSON meta + npz arrays)
+# Codec: one frame body layout for every message
 # ---------------------------------------------------------------------- #
-def pack_message(kind: str, meta: Optional[Dict[str, Any]] = None, **arrays) -> bytes:
-    """Serialise one message into a frame body (npz bytes, pickle-free)."""
-    buffer = io.BytesIO()
-    payload = {"kind": kind, **(meta or {})}
-    np.savez(buffer, __meta__=np.asarray(json.dumps(payload)), **arrays)
-    return buffer.getvalue()
+#: First bytes of every frame body.  Bodies of older protocol versions start
+#: with ``PK`` (npz archives) or ``RFC1`` (the single-array layout) and are
+#: rejected by :func:`unpack_message` with the magic they carry.
+FRAME_MAGIC = b"RFM3"
 
+#: Dtypes a body may carry: fixed-width little-endian numerics and bools.
+_DTYPES = {name: np.dtype(name) for name in ("<i8", "<f8", "<i4", "|u1", "|b1")}
 
-#: First bytes of a compact body.  An npz body is a zip archive and always
-#: starts with ``PK``, so the two layouts can never be confused.
-COMPACT_MAGIC = b"RFC1"
+#: Each carried dtype's header field (``u8 dtype_len, dtype``), by dtype.
+_DTYPE_FIELDS = {
+    dtype: bytes((len(name),)) + name.encode("ascii") for name, dtype in _DTYPES.items()
+}
 
-#: Dtypes a compact body may carry: fixed-width little-endian numerics and
-#: bools.  Anything else (objects, strings, big-endian exotica) goes through
-#: the general npz layout.
-_COMPACT_DTYPES = ("<i8", "<f8", "<i4", "|u1", "|b1")
+#: Most dimensions one array may have, and the dims field for each ndim.
+_MAX_NDIM = 4
+_DIMS = [struct.Struct(f">{ndim}I") for ndim in range(_MAX_NDIM + 1)]
 
 _U32 = struct.Struct(">I")
 _U8 = struct.Struct(">B")
 
 
-def pack_compact(kind: str, meta: Optional[Dict[str, Any]] = None, **arrays) -> bytes:
-    """Serialise one message into the lean single-array body.
+def pack_message(kind: str, meta: Optional[Dict[str, Any]] = None, **arrays) -> bytes:
+    """Serialise one message into a frame body.
 
-    Layout: ``RFC1 | u32 meta_len | meta JSON (with "kind") | u8 name_len |
-    array name | u8 dtype_len | dtype str | u8 ndim | ndim * u32 shape | raw
-    C-order bytes``.  At most one array, of a :data:`_COMPACT_DTYPES` dtype;
-    messages the layout cannot carry fall back to :func:`pack_message`, so
-    callers can use this unconditionally on their fast paths —
-    :func:`unpack_message` accepts either result.
+    Layout: ``magic | u32 meta_len | meta JSON (with "kind") | u8 n_arrays |
+    per array: u8 name_len, name, u8 dtype_len, dtype, u8 ndim, ndim * u32
+    dims, raw C-order bytes``.  An array the layout cannot carry (a dtype
+    outside :data:`_DTYPES`, more than four dimensions, a dimension over
+    2**32 - 1, a name over 255 bytes) raises :class:`TransportError`.
     """
-    if len(arrays) > 1:
-        return pack_message(kind, meta, **arrays)
-    name, array = next(iter(arrays.items())) if arrays else ("", None)
-    if array is not None:
-        array = np.asarray(array)
-        if array.dtype.str not in _COMPACT_DTYPES or array.ndim > 4:
-            return pack_message(kind, meta, **arrays)
-        if array.ndim:  # ascontiguousarray would promote a 0-d array to 1-d
-            array = np.ascontiguousarray(array)
     meta_bytes = json.dumps({"kind": kind, **(meta or {})}).encode("utf-8")
-    name_bytes = name.encode("utf-8")
-    if len(meta_bytes) > 0xFFFFFFFF or len(name_bytes) > 0xFF:
-        return pack_message(kind, meta, **arrays)
-    parts = [COMPACT_MAGIC, _U32.pack(len(meta_bytes)), meta_bytes,
-             _U8.pack(len(name_bytes)), name_bytes]
-    if array is None:
-        parts.append(_U8.pack(0))  # dtype_len 0 == no array
-    else:
-        dtype_bytes = array.dtype.str.encode("ascii")
-        parts.append(_U8.pack(len(dtype_bytes)))
-        parts.append(dtype_bytes)
-        parts.append(_U8.pack(array.ndim))
-        for dim in array.shape:
-            if dim > 0xFFFFFFFF:
-                return pack_message(kind, meta, **arrays)
-            parts.append(_U32.pack(dim))
-        parts.append(array.tobytes())
+    if len(meta_bytes) > 0xFFFFFFFF or len(arrays) > 0xFF:
+        raise TransportError(
+            f"cannot frame {kind!r}: {len(meta_bytes)} meta bytes, {len(arrays)} arrays"
+        )
+    parts = [FRAME_MAGIC, _U32.pack(len(meta_bytes)), meta_bytes, _U8.pack(len(arrays))]
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        dtype_field = _DTYPE_FIELDS.get(array.dtype)
+        name_bytes = name.encode("utf-8")
+        if (
+            dtype_field is None
+            or array.ndim > _MAX_NDIM
+            or len(name_bytes) > 0xFF
+            or max(array.shape, default=0) > 0xFFFFFFFF
+        ):
+            raise TransportError(
+                f"cannot frame array {name!r} of dtype {array.dtype.str} and shape "
+                f"{array.shape}: a frame carries {sorted(_DTYPES)} arrays of at "
+                f"most {_MAX_NDIM} dimensions"
+            )
+        if not array.flags.c_contiguous:
+            array = np.ascontiguousarray(array)
+        parts += [
+            _U8.pack(len(name_bytes)), name_bytes, dtype_field,
+            _U8.pack(array.ndim), _DIMS[array.ndim].pack(*array.shape),
+            array,  # bytes.join reads the C-order buffer directly
+        ]
     return b"".join(parts)
 
 
-class _CompactReader:
-    """Cursor over a compact body; every read is bounds-checked."""
-
-    def __init__(self, body: bytes) -> None:
-        self.body = body
-        self.offset = len(COMPACT_MAGIC)
-
-    def take(self, n: int) -> bytes:
-        end = self.offset + n
-        if n < 0 or end > len(self.body):
-            raise TransportError(
-                f"malformed compact frame: truncated at byte {self.offset}"
-            )
-        chunk = self.body[self.offset : end]
-        self.offset = end
-        return chunk
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
+def _truncated(offset: int) -> TransportError:
+    return TransportError(f"malformed frame: truncated at byte {offset}")
 
 
-def _unpack_compact(body: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
-    reader = _CompactReader(body)
-    try:
-        meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
-        kind = meta.pop("kind")
-        if not isinstance(meta, dict) or not isinstance(kind, str):
-            raise TypeError("compact meta must be a JSON object with a string 'kind'")
-        name = reader.take(reader.u8()).decode("utf-8")
-        dtype_str = reader.take(reader.u8()).decode("ascii")
-    except TransportError:
-        raise
-    except Exception as exc:
-        raise TransportError(f"malformed compact frame: {exc}") from exc
-    if not dtype_str:
-        if reader.offset != len(body):
-            raise TransportError("malformed compact frame: trailing bytes after meta")
-        return kind, meta, {}
-    if dtype_str not in _COMPACT_DTYPES:
-        raise TransportError(
-            f"malformed compact frame: dtype {dtype_str!r} is not allowed"
-        )
-    dtype = np.dtype(dtype_str)
-    ndim = reader.u8()
-    if ndim > 4:
-        raise TransportError(f"malformed compact frame: {ndim} dimensions")
-    shape = tuple(reader.u32() for _ in range(ndim))
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-    raw = reader.take(expected)
-    if reader.offset != len(body):
-        raise TransportError("malformed compact frame: trailing bytes after array")
-    array = np.frombuffer(raw, dtype=dtype)
-    if ndim == 0:
-        array = array.reshape(())
-    else:
-        array = array.reshape(shape)
-    # .copy() so consumers get a writable, owned array (frombuffer views the
-    # frame bytes read-only) — same contract as arrays out of an npz body.
-    return kind, meta, {name: array.copy()}
+def _text(view: memoryview, offset: int) -> Tuple[str, int]:
+    """A ``u8``-length-prefixed UTF-8 string at ``offset``; returns it and its end."""
+    end = offset + 1 + view[offset]
+    if end > len(view):
+        raise _truncated(offset)
+    return str(view[offset + 1 : end], "utf-8"), end
 
 
 def unpack_message(body: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_message` / :func:`pack_compact`.
+    """Inverse of :func:`pack_message`: a frame body to ``(kind, meta, arrays)``.
 
-    Dispatches on the body's leading bytes (:data:`COMPACT_MAGIC` vs a zip
-    archive) and returns ``(kind, meta, arrays)`` either way.  Malformed
-    bodies — truncated archives or compact headers, garbage bytes, bad JSON,
-    a missing ``__meta__`` entry or ``kind`` key — raise
-    :class:`TransportError` so a fuzzed or corrupted frame fails identically
-    on every consumer instead of leaking ``zipfile``/``json``/``KeyError``
-    internals.
+    Every malformed body — an unknown magic (including the bodies older
+    protocol versions wrote), truncation anywhere, bad JSON, a missing
+    ``kind``, an unlisted dtype, a shape whose byte count exceeds the bytes
+    left, trailing bytes — raises :class:`TransportError`, so a fuzzed or
+    corrupted frame fails identically on every consumer.  The arrays are
+    owned and writable (copies, not views of ``body``).
     """
-    if body[: len(COMPACT_MAGIC)] == COMPACT_MAGIC:
-        return _unpack_compact(body)
+    view = memoryview(body)
+    if view[: len(FRAME_MAGIC)] != FRAME_MAGIC:
+        raise TransportError(
+            f"malformed frame: unknown magic {bytes(view[:len(FRAME_MAGIC)])!r} "
+            f"(expected {FRAME_MAGIC!r}); a body written by an older protocol "
+            "version (npz or RFC1) is not readable"
+        )
     try:
-        with np.load(io.BytesIO(body), allow_pickle=False) as archive:
-            meta = json.loads(str(archive["__meta__"]))
-            arrays = {name: archive[name] for name in archive.files if name != "__meta__"}
+        offset = len(FRAME_MAGIC) + _U32.size
+        end = offset + _U32.unpack_from(view, len(FRAME_MAGIC))[0]
+        if end > len(view):
+            raise _truncated(offset)
+        meta = json.loads(str(view[offset:end], "utf-8"))
+        if not isinstance(meta, dict) or not isinstance(meta.get("kind"), str):
+            raise TransportError("malformed frame: meta must be a JSON object with a string 'kind'")
         kind = meta.pop("kind")
-        if not isinstance(meta, dict) or not isinstance(kind, str):
-            raise TypeError("frame meta must be a JSON object with a string 'kind'")
+        arrays: Dict[str, np.ndarray] = {}
+        offset = end + 1
+        for _ in range(view[end]):
+            name, offset = _text(view, offset)
+            dtype_str, offset = _text(view, offset)
+            dtype = _DTYPES.get(dtype_str)
+            if dtype is None or name in arrays:
+                raise TransportError(
+                    f"malformed frame: array {name!r} of dtype {dtype_str!r} is not allowed"
+                )
+            ndim = view[offset]
+            if ndim > _MAX_NDIM:
+                raise TransportError(f"malformed frame: {ndim} dimensions")
+            shape = _DIMS[ndim].unpack_from(view, offset + 1)
+            offset += 1 + 4 * ndim
+            # Python ints: a fixed-width product could wrap to a byte count
+            # that "fits" the bytes left.
+            count = math.prod(shape)
+            end = offset + count * dtype.itemsize
+            if end > len(view):
+                raise _truncated(offset)
+            arrays[name] = np.frombuffer(view, dtype, count, offset).reshape(shape).copy()
+            offset = end
     except TransportError:
         raise
     except Exception as exc:
         raise TransportError(f"malformed frame: {exc}") from exc
+    if offset != len(view):
+        raise TransportError("malformed frame: trailing bytes after the last array")
     return kind, meta, arrays
 
 
 def send_frame(sock: socket.socket, body: bytes, max_frame: Optional[int] = None) -> None:
+    send_frames(sock, (body,), max_frame)
+
+
+def send_frames(
+    sock: socket.socket, bodies: Sequence[bytes], max_frame: Optional[int] = None
+) -> None:
+    """Send frames in one write: a burst of replies costs one system call."""
     cap = frame_cap() if max_frame is None else int(max_frame)
-    if len(body) > cap:
-        # Enforced on both ends: failing here names the real problem instead
-        # of the receiver dropping the connection and the sender reporting a
-        # phantom worker death.
-        raise TransportError(
-            f"frame of {len(body)} bytes exceeds the {cap} cap; "
-            "use more (smaller) shards, or raise REPRO_MAX_FRAME"
-        )
+    parts = []
+    for body in bodies:
+        if len(body) > cap:
+            # Enforced on both ends: failing here names the real problem
+            # instead of the receiver dropping the connection and the sender
+            # reporting a phantom worker death.
+            raise TransportError(
+                f"frame of {len(body)} bytes exceeds the {cap} cap; "
+                "use more (smaller) shards, or raise REPRO_MAX_FRAME"
+            )
+        parts += (_LEN.pack(len(body)), body)
     try:
-        sock.sendall(_LEN.pack(len(body)) + body)
+        sock.sendall(b"".join(parts))
     except OSError as exc:
         raise TransportError(f"connection lost while sending: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
+class FrameReader:
+    """Receives length-prefixed frames from one socket, reading ahead.
+
+    Each ``recv`` system call asks for up to :attr:`readahead` bytes, so a
+    burst of pipelined frames costs one call instead of two per frame; bytes
+    past the current frame stay buffered for the next :meth:`recv`.  A
+    reader must therefore be the only reader of its socket from creation
+    on.  The frame-size cap is checked on every length prefix.
+    """
+
+    #: Bytes asked for per ``recv`` call beyond what the current frame needs.
+    readahead = 1 << 16
+
+    def __init__(self, sock: socket.socket, max_frame: Optional[int] = None) -> None:
+        self.sock = sock
+        self._cap = frame_cap() if max_frame is None else int(max_frame)
+        self._buffer = bytearray()
+
+    def _missing(self) -> int:
+        """Bytes still missing from the buffered frame (0: it is whole)."""
+        if len(self._buffer) < _LEN.size:
+            return _LEN.size - len(self._buffer)
+        (length,) = _LEN.unpack_from(self._buffer)
+        if length > self._cap:
+            raise TransportError(f"frame of {length} bytes exceeds the {self._cap} cap")
+        return max(0, _LEN.size + length - len(self._buffer))
+
+    def has_frame(self) -> bool:
+        """Whether a whole frame is already buffered (``recv`` needs no call)."""
+        return not self._missing()
+
+    def recv(
+        self,
+        stop_requested: Optional[Callable[[], bool]] = None,
+        poll_interval: float = 0.2,
+    ) -> Optional[bytes]:
+        """The next frame body.
+
+        With ``stop_requested`` the socket is read with a ``poll_interval``
+        timeout, and the check runs between polls — while idle *and*
+        mid-frame — so a stalled peer can never park a draining server's
+        session thread; ``None`` is returned once it holds.  The socket's
+        timeout is restored on exit.  Without it, a socket timeout or a
+        disconnect raises :class:`TransportError`.
+        """
+        if stop_requested is not None and stop_requested():
+            return None
+        missing = self._missing()
+        polling = bool(missing) and stop_requested is not None
+        if polling:
+            previous_timeout = self.sock.gettimeout()
+            self.sock.settimeout(poll_interval)
         try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except OSError as exc:
-            raise TransportError(f"connection lost while receiving: {exc}") from exc
-        if not chunk:
-            raise TransportError(
-                "peer closed the connection mid-frame (worker died or was killed?)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+            while missing:
+                try:
+                    chunk = self.sock.recv(min(max(missing, self.readahead), 1 << 20))
+                except socket.timeout as exc:
+                    if stop_requested is None:
+                        raise TransportError(f"connection lost while receiving: {exc}") from exc
+                    if stop_requested():
+                        return None
+                    continue
+                except OSError as exc:
+                    raise TransportError(f"connection lost while receiving: {exc}") from exc
+                if not chunk:
+                    raise TransportError(
+                        "peer closed the connection mid-frame (worker died or was killed?)"
+                    )
+                self._buffer += chunk
+                missing = self._missing()
+                if missing and stop_requested is not None and stop_requested():
+                    return None
+        finally:
+            if polling:
+                try:
+                    self.sock.settimeout(previous_timeout)
+                except OSError:  # pragma: no cover - socket already torn down
+                    pass
+        end = _LEN.size + _LEN.unpack_from(self._buffer)[0]
+        with memoryview(self._buffer) as view:
+            body = bytes(view[_LEN.size : end])
+        del self._buffer[:end]
+        return body
 
 
-def _checked_length(header: bytes, max_frame: Optional[int] = None) -> int:
-    cap = frame_cap() if max_frame is None else int(max_frame)
-    (length,) = _LEN.unpack(header)
-    if length > cap:
-        raise TransportError(f"frame of {length} bytes exceeds the {cap} cap")
-    return int(length)
+class _ExactFrameReader(FrameReader):
+    """Reads never past the frame's end: nothing is left buffered."""
+
+    readahead = 0
 
 
 def recv_frame(sock: socket.socket, max_frame: Optional[int] = None) -> bytes:
-    return _recv_exact(sock, _checked_length(_recv_exact(sock, _LEN.size), max_frame))
-
-
-def _recv_exact_interruptible(
-    sock: socket.socket, n: int, stop_requested: Callable[[], bool]
-) -> Optional[bytes]:
-    """``_recv_exact`` over a poll-timeout socket; ``None`` once stop is requested."""
-    chunks = []
-    remaining = n
-    while remaining:
-        if stop_requested():
-            return None
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except socket.timeout:
-            continue
-        except OSError as exc:
-            raise TransportError(f"connection lost while receiving: {exc}") from exc
-        if not chunk:
-            raise TransportError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame_interruptible(
-    sock: socket.socket,
-    stop_requested: Callable[[], bool],
-    poll_interval: float = 0.2,
-    max_frame: Optional[int] = None,
-) -> Optional[bytes]:
-    """Like :func:`recv_frame`, but returns ``None`` once shutdown is requested.
-
-    A long-lived session blocks here between requests; a plain ``recv`` would
-    keep a draining server waiting on every idle client.  This variant reads
-    with a poll timeout and checks ``stop_requested()`` between polls — while
-    idle *and* mid-frame, so a stalled peer (one header byte, then silence)
-    can never park the session thread past a drain.  A request abandoned
-    mid-frame at shutdown was never fully received, so nothing acknowledged
-    is lost.  The socket's timeout is restored on exit.
-    """
-    previous_timeout = sock.gettimeout()
-    try:
-        sock.settimeout(poll_interval)
-        header = _recv_exact_interruptible(sock, _LEN.size, stop_requested)
-        if header is None:
-            return None
-        return _recv_exact_interruptible(
-            sock, _checked_length(header, max_frame), stop_requested
-        )
-    finally:
-        try:
-            sock.settimeout(previous_timeout)
-        except OSError:  # pragma: no cover - socket already torn down
-            pass
+    """One frame body, read exactly (the socket holds nothing of the next)."""
+    return _ExactFrameReader(sock, max_frame).recv()
 
 
 # ---------------------------------------------------------------------- #

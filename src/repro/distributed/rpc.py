@@ -3,9 +3,9 @@
 The LocalUpdate/GlobalStep decomposition makes the multi-host case cheap:
 per sweep only ``O(k * M)`` count statistics and the shard's labels travel,
 so a plain TCP socket per shard is plenty.  Two layers live here (the wire
-codec itself — length-prefixed JSON+npz frames, ``allow_pickle=False`` end to
-end, arrays round-tripping bit-exactly — is shared with the serving tier and
-lives in :mod:`repro.distributed.codec`):
+codec itself — length-prefixed frames of JSON meta plus raw typed arrays,
+pickle-free, arrays round-tripping bit-exactly — is shared with the serving
+tier and lives in :mod:`repro.distributed.codec`):
 
 * **Worker** — :class:`WorkerServer` listens on ``host:port`` (the
   ``repro worker --listen`` CLI subcommand hosts one).  Each coordinator
@@ -25,13 +25,14 @@ lives in :mod:`repro.distributed.codec`):
 
 A worker that dies mid-sweep (connection reset / EOF) raises
 :class:`~repro.distributed.transport.TransportError` on the coordinator —
-never a hang — and a malformed frame (fuzzed bytes, truncated archive, a
+never a hang — and a malformed frame (fuzzed bytes, a truncated body, a
 corrupt length prefix) ends the session cleanly on the worker.  The protocol
 is trusted-network plumbing: no authentication or encryption; run it on
 cluster-internal interfaces only.
 
-Protocol v2 (this module) extends the v1 handshake for the resilience layer
-(:mod:`repro.distributed.resilience`):
+Protocol v2 extended the v1 handshake for the resilience layer
+(:mod:`repro.distributed.resilience`); v3 (this module) keeps that handshake
+and moves every frame body to the codec's one layout:
 
 * every shard ``hello`` carries the shard's *content key*
   (:func:`repro.distributed.shardcache.shard_content_key`); a **cache-first**
@@ -60,7 +61,6 @@ import numpy as np
 
 from repro.core.sync import ShardUpdate, ShardWorker, SweepBroadcast
 from repro.distributed.codec import (
-    MAX_FRAME,
     ThreadedFrameServer,
     default_connect_timeout,
     default_io_timeout,
@@ -94,10 +94,7 @@ __all__ = [
     "recv_frame",
 ]
 
-PROTOCOL_VERSION = 2
-
-#: Backwards-compatible alias; the cap itself lives in the shared codec.
-_MAX_FRAME = MAX_FRAME
+PROTOCOL_VERSION = 3
 
 
 # -- EngineState / protocol dataclass (de)serialisation ------------------ #

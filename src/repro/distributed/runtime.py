@@ -61,7 +61,6 @@ MAX_PROCESS_SHARDS = 64
 __all__ = [
     "MAX_PROCESS_SHARDS",
     "ProcessTransport",
-    "ShardedCoordinator",
     "ShardedMGCPL",
     "ShardedCAME",
     "ShardedMCDC",
@@ -184,34 +183,6 @@ class ProcessExecutor(TransportExecutor):
             close_all(transports)
             raise
         super().__init__(transports, shard_indices, codes.shape[0])
-
-
-# ---------------------------------------------------------------------- #
-# Back-compat constructor
-# ---------------------------------------------------------------------- #
-def ShardedCoordinator(
-    codes: np.ndarray,
-    n_categories: Sequence[int],
-    shards: ShardSpec = None,
-    backend: str = "process",
-    engine: str = "auto",
-    mp_context=None,
-    **backend_options,
-) -> ShardExecutor:
-    """Build a shard executor (kept as the PR-2 entry point's name).
-
-    Thin wrapper over :func:`repro.distributed.transport.make_executor`; the
-    per-backend construction now lives behind the backend registry, so this
-    function no longer carries backend branches of its own.  Extra keyword
-    arguments (``hosts``, ``shard_cache``, ``max_retries``, ...) pass through
-    to the backend factory.  New code should call ``make_executor`` directly.
-    """
-    options = dict(backend_options)
-    if mp_context is not None:
-        options["mp_context"] = mp_context
-    return make_executor(
-        backend, codes, n_categories, shards=shards, engine=engine, **options
-    )
 
 
 # ---------------------------------------------------------------------- #

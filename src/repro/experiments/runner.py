@@ -10,7 +10,6 @@ through this module.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
@@ -124,22 +123,6 @@ def make_paper_method(
     canonical, extra = route_through_backend(canonical, config)
     params.update(extra)
     return make_clusterer(canonical, n_clusters=n_clusters, random_state=seed, **params)
-
-
-def make_method(name: str, n_clusters: int, seed: int, config: Optional[ExperimentConfig] = None):
-    """Deprecated alias of :func:`make_paper_method`.
-
-    Kept so pre-registry callers (and the old paper names) keep working; new
-    code should use :func:`repro.registry.make_clusterer` directly, or
-    :func:`make_paper_method` for the Table III hyper-parameter presets.
-    """
-    warnings.warn(
-        "make_method() is deprecated; use repro.registry.make_clusterer() or "
-        "repro.experiments.runner.make_paper_method() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_paper_method(name, n_clusters, seed, config)
 
 
 def map_trials(trial: Callable[..., T], items: Sequence, n_jobs: int = 1) -> List[T]:

@@ -4,11 +4,11 @@ The roadmap's north star is serving heavy traffic from fitted models; this
 package is that tier.  A :class:`ModelServer` loads an ``.npz`` model archive
 once (:func:`repro.persistence.load_model`) and answers ``predict`` /
 ``ingest`` / ``info`` / ``snapshot`` requests over the same length-prefixed
-JSON+npz frames as the multi-host shard workers
-(:mod:`repro.distributed.codec`), with concurrent read-locked predicts,
-serialized exact-merge ingests, atomic write-temp-then-rename snapshots
-back to disk, and an optional write-ahead ingest log (``wal=True``) that
-replays acked batches exactly after a crash — "acked means durable".
+frames as the multi-host shard workers (:mod:`repro.distributed.codec`),
+with concurrent read-locked predicts, serialized exact-merge ingests,
+atomic write-temp-then-rename snapshots back to disk, and an optional
+write-ahead ingest log (``wal=True``) that replays acked batches exactly
+after a crash — "acked means durable".
 :class:`ServingClient` is the connection handle application code uses;
 ``repro serve`` / ``repro predict --server`` are the CLI faces.
 

@@ -20,9 +20,10 @@ same connection::
 
     labels = client.map_predict(batches)        # submit-all + gather, in order
 
-Tagged requests go out back-to-back on the compact fast-path body layout;
+Tagged requests go out back-to-back on the one connection;
 the server coalesces whatever is queued into single kernel calls
-(micro-batching) and answers each tag — possibly out of order.  Responses
+(micro-batching) and answers each tag — possibly out of order, and possibly
+several tags in one frame.  Responses
 are matched by tag, never by position, and every reply is bit-identical to
 a per-batch ``predict``.  At most ``max_in_flight`` predicts are pending at
 once; submitting past the window first harvests the oldest replies.  All
@@ -78,12 +79,11 @@ import numpy as np
 
 from repro.core.base import ArrayOrDataset, extract_codes
 from repro.distributed.codec import (
+    FrameReader,
     default_connect_timeout,
     default_io_timeout,
-    pack_compact,
     pack_message,
     parse_address,
-    recv_frame,
     send_frame,
     unpack_message,
 )
@@ -181,6 +181,7 @@ class ServingClient:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self._sock: Optional[socket.socket] = None
+        self._reader: Optional[FrameReader] = None
         self._next_tag = 0
         self._pending: Dict[int, PendingPredict] = {}
         #: The server's welcome meta (model class, k, counters at connect).
@@ -223,8 +224,9 @@ class ServingClient:
         try:
             sock.settimeout(self.timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            reader = FrameReader(sock)
             send_frame(sock, hello_body())
-            kind, meta, _ = unpack_message(recv_frame(sock))
+            kind, meta, _ = unpack_message(reader.recv())
             self.server_info = check_welcome(kind, meta, self.address)
         except BaseException:
             try:
@@ -232,7 +234,7 @@ class ServingClient:
             except OSError:  # pragma: no cover
                 pass
             raise
-        self._sock = sock
+        self._sock, self._reader = sock, reader
         return self
 
     def close(self) -> None:
@@ -279,46 +281,81 @@ class ServingClient:
 
     def _recv_reply(self) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
         try:
-            return unpack_message(recv_frame(self._sock))
+            return unpack_message(self._reader.recv())
         except (TransportError, socket.timeout) as exc:
             raise self._transport_failed(exc) from exc
 
     def _route_tagged(
         self, kind: str, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> None:
-        """Deliver one tagged response to its future; tag violations kill
+        """Deliver one tagged response to its future(s); tag violations kill
         the connection (a reply that matches nothing can never be harvested)."""
-        tag = meta.get("tag")
-        future = self._pending.pop(tag, None)
-        if future is None:
-            exc = self._transport_failed(TransportError(
-                f"response carries unknown or already-answered tag {tag!r}"
-            ))
-            raise exc
+        if "tags" in arrays:
+            return self._route_answers(arrays)
+        future = self._pop_pending(meta.get("tag"))
         if kind == "error":
             future._fulfill(None, _remote_error(meta))
         else:
             future._fulfill(np.asarray(arrays["labels"], dtype=np.int64), None)
 
+    def _route_answers(self, arrays: Dict[str, np.ndarray]) -> None:
+        """A ``labels`` reply to several predicts: ``rows[i]`` labels for ``tags[i]``."""
+        tags, rows, labels = arrays["tags"], arrays.get("rows"), arrays.get("labels")
+        if (rows is None or labels is None or tags.dtype.kind != "i" or rows.dtype.kind != "i"
+                or tags.ndim != 1 or rows.shape != tags.shape or labels.ndim != 1
+                or rows.min(initial=0) < 0 or rows.sum() != len(labels)):
+            raise self._transport_failed(
+                TransportError("malformed labels reply: tags, rows and labels disagree"))
+        ends = np.cumsum(rows).tolist()
+        for tag, start, end in zip(tags.tolist(), [0] + ends, ends):
+            self._pop_pending(tag)._fulfill(labels[start:end].astype(np.int64), None)
+
+    def _pop_pending(self, tag: Any) -> PendingPredict:
+        future = self._pending.pop(tag, None)
+        if future is None:
+            raise self._transport_failed(TransportError(
+                f"response carries unknown or already-answered tag {tag!r}"
+            ))
+        return future
+
     def _pump_one(self) -> None:
-        """Receive exactly one frame; it must belong to a pipelined predict."""
+        """Receive at least one frame; each must belong to a pipelined predict."""
         if self._sock is None:
             # close()/a transport error already failed every future; nothing
             # can still be pending here.
             raise TransportError(f"not connected to {self.address}")
+        self._route_one_tagged()
+        self._route_buffered()
+
+    def _route_one_tagged(self) -> None:
         kind, meta, arrays = self._recv_reply()
-        if meta.get("tag") is None:
-            exc = self._transport_failed(TransportError(
+        if meta.get("tag") is None and "tags" not in arrays:
+            raise self._transport_failed(TransportError(
                 f"expected a tagged response, got untagged {kind!r}"
             ))
-            raise exc
         self._route_tagged(kind, meta, arrays)
+
+    def _route_buffered(self) -> None:
+        """Route the tagged replies that arrived along with the last one.
+
+        The reader reads ahead, so several replies can land in one system
+        call; routing them now leaves no whole reply buffered out of sight
+        of a caller who ``select``s on the socket.  A protocol violation
+        here has already dropped the connection and failed every pending
+        future, which is how the caller learns of it.
+        """
+        try:
+            while self._sock is not None and self._reader.has_frame():
+                self._route_one_tagged()
+        except TransportError:
+            pass
 
     def _recv_untagged(self) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
         """The next *untagged* frame (tagged ones are routed along the way)."""
         while True:
             kind, meta, arrays = self._recv_reply()
-            if meta.get("tag") is None:
+            if meta.get("tag") is None and "tags" not in arrays:
+                self._route_buffered()
                 return kind, meta, arrays
             self._route_tagged(kind, meta, arrays)
 
@@ -365,7 +402,7 @@ class ServingClient:
         future = PendingPredict(self, tag, int(codes.shape[0]))
         self._pending[tag] = future
         try:
-            send_frame(self._sock, pack_compact("predict", {"tag": tag}, codes=codes))
+            send_frame(self._sock, pack_message("predict", {"tag": tag}, codes=codes))
         except (TransportError, socket.timeout) as exc:
             raise self._transport_failed(exc) from exc
         return future

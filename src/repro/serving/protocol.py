@@ -4,9 +4,9 @@ The model server speaks the same length-prefixed frames as the shard worker
 (:mod:`repro.distributed.codec`), so a message is always ``(kind, meta,
 arrays)`` and arrays round-trip bit-exactly — which is what makes a loopback
 ``ServingClient.predict`` bit-identical to calling ``predict`` on the model
-in process.  Two body layouts share the framing: the general JSON+npz
-archive, and the compact single-array layout (``pack_compact``) used by the
-pipelined fast path — receivers accept either.
+in process.  Every request, reply, replication frame and WAL record uses the
+codec's one body layout (:func:`~repro.distributed.codec.pack_message`:
+JSON meta plus raw typed arrays); protocol 3 bodies never carry npz.
 
 Session shape (one TCP connection):
 
@@ -25,12 +25,15 @@ request    payload                         response
 ``shutdown`` —                             ``ok``; the server then drains
 ========== =============================== ================================
 
-**Pipelining (protocol 2).**  A request may carry an integer ``tag`` in its
-meta; the response to a tagged request carries the same ``tag`` back, and
-tagged responses may arrive in ANY order relative to other tagged requests
-on the session.  This lets a client keep many predicts in flight on one
-connection (``ServingClient.predict_async`` / ``gather``) while the server
-coalesces them into kernel-sized batches.  Untagged requests keep the strict
+**Pipelining (since protocol 2).** A request may carry an integer ``tag`` in
+its meta; the response to a tagged request carries the same ``tag`` back,
+and tagged responses may arrive in ANY order relative to other tagged
+requests on the session; the micro-batcher answers a session's share of a
+batch in one ``labels`` frame whose int64 ``tags`` and ``rows`` arrays say
+that ``rows[i]`` labels, in order, answer ``tags[i]``.  This lets a client
+keep many predicts in flight on one connection
+(``ServingClient.predict_async`` / ``gather``) while the server coalesces
+them into kernel-sized batches.  Untagged requests keep the strict
 request/response alternation of protocol 1, so the two styles can be mixed:
 an untagged request's reply is the next *untagged* frame on the wire.
 Ordering caveat: tagged predicts already in flight when an ``ingest`` is
@@ -40,9 +43,10 @@ state (each individual reply is always an exact post-batch state); call
 
 **Replication.**  ``replicate`` turns the session into a one-way state
 stream: the server answers with a ``sync`` frame carrying the full model
-archive (the ``.npz`` snapshot is the shippable unit) and its current ingest
-sequence number, then pushes one ``delta`` frame per ingest batch —
-``seq``, the raw batch ``codes`` and the ``labels`` the primary assigned.
+archive (the on-disk ``.npz`` snapshot's bytes as one ``uint8`` array) and
+its current ingest sequence number, then pushes one ``delta`` frame per
+ingest batch — ``seq``, the raw batch ``codes`` and the ``labels`` the
+primary assigned.
 Replaying a delta (count the coerced codes under the primary's labels,
 exact-merge into the ``EngineState``) reproduces the primary's post-batch
 state bit-identically, so a replica's reads are exact.
@@ -54,7 +58,7 @@ server's write-ahead-log state alongside the model facts: ``wal`` (bool),
 ``wal_replayed_batches``/``wal_replayed_objects`` (what startup recovery
 replayed), and ``snapshot_failures`` (background snapshot errors reported
 out-of-band rather than failing acked ingests).  These are additive meta
-keys — protocol 2 clients that ignore them are unaffected.  A router's
+keys — clients that ignore them are unaffected.  A router's
 ``info`` nests the same facts from its primary under ``primary_wal``.
 
 Application-level failures (a batch with the wrong feature count, a snapshot
@@ -86,9 +90,10 @@ __all__ = [
     "check_welcome",
 ]
 
-#: Version 2 adds tagged (pipelined, out-of-order) requests, the compact
-#: body layout on the predict fast path, and the ``replicate`` stream.
-SERVING_PROTOCOL_VERSION = 2
+#: Version 2 added tagged (pipelined, out-of-order) requests and the
+#: ``replicate`` stream; version 3 sends every body in the codec's one
+#: layout, so a version-2 peer's npz hello fails to decode and its session ends.
+SERVING_PROTOCOL_VERSION = 3
 
 #: Distinguishes a model server from a shard worker in the handshake, so a
 #: client pointed at the wrong port fails with a message instead of a stall.

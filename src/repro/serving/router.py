@@ -50,12 +50,12 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.distributed.codec import (
+    FrameReader,
     ThreadedFrameServer,
     default_connect_timeout,
     pack_message,
     parse_address,
     recv_frame,
-    recv_frame_interruptible,
     send_frame,
     unpack_message,
 )
@@ -165,11 +165,10 @@ class _RouterSession:
 
     def _relay(self) -> None:
         """Pump every frame from the read backend straight to the client."""
+        reader = FrameReader(self.pipe_conn)
         try:
             while True:
-                body = recv_frame_interruptible(
-                    self.pipe_conn, lambda: self.dead or self.router._closing.is_set()
-                )
+                body = reader.recv(lambda: self.dead or self.router._closing.is_set())
                 if body is None:
                     return
                 self.send(body)
@@ -254,9 +253,6 @@ class ServingRouter(ThreadedFrameServer):
         self._primary_wal: Dict[str, Any] = {}
 
     # -- read-backend rotation & liveness ------------------------------- #
-    def _next_read_backend(self) -> str:
-        return self._read_candidates()[0]
-
     def _read_candidates(self) -> List[str]:
         """Read backends to try, in order: the round-robin pick first.
 
@@ -387,8 +383,9 @@ class ServingRouter(ThreadedFrameServer):
 
     def handle_session(self, conn: socket.socket) -> None:
         session = _RouterSession(self, conn)
+        reader = FrameReader(conn)
         try:
-            body = recv_frame_interruptible(conn, self._closing.is_set)
+            body = reader.recv(self._closing.is_set)
             if body is None:
                 return
             kind, meta, _ = unpack_message(body)
@@ -408,9 +405,7 @@ class ServingRouter(ThreadedFrameServer):
                 return
             session.send(pack_message("welcome", self.info()))
             while not session.dead:
-                body = recv_frame_interruptible(
-                    conn, lambda: session.dead or self._closing.is_set()
-                )
+                body = reader.recv(lambda: session.dead or self._closing.is_set())
                 if body is None:
                     return
                 kind, meta, _ = unpack_message(body)

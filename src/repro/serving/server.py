@@ -108,14 +108,14 @@ import numpy as np
 
 from repro.core.base import BaseClusterer
 from repro.distributed.codec import (
+    FrameReader,
     ThreadedFrameServer,
-    pack_compact,
     pack_message,
     parse_address,
     read_wal_records,
     recv_frame,
-    recv_frame_interruptible,
     send_frame,
+    send_frames,
     unpack_message,
     wal_record,
 )
@@ -300,14 +300,14 @@ class _SessionSink:
         self._outstanding = 0
         self.dead = False
 
-    def send(self, body: bytes) -> None:
+    def send(self, *bodies: bytes) -> None:
         with self._send_lock:
-            send_frame(self.conn, body)
+            send_frames(self.conn, bodies)
 
-    def send_quiet(self, body: bytes) -> None:
+    def send_quiet(self, *bodies: bytes) -> None:
         """Send from a shared thread: a dead session must not raise here."""
         try:
-            self.send(body)
+            self.send(*bodies)
         except (TransportError, OSError):
             self.dead = True
 
@@ -315,15 +315,25 @@ class _SessionSink:
         with self._cond:
             self._outstanding += 1
 
-    def end_async(self) -> None:
+    def end_async(self, n: int = 1) -> None:
         with self._cond:
-            self._outstanding -= 1
+            self._outstanding -= n
             if self._outstanding <= 0:
                 self._cond.notify_all()
 
     def wait_async_drained(self, timeout: float) -> bool:
         with self._cond:
             return self._cond.wait_for(lambda: self._outstanding <= 0, timeout)
+
+
+def _answers_body(items: List["_BatchItem"]) -> bytes:
+    """One ``labels`` reply to several tagged predicts: ``rows[i]`` labels for ``tags[i]``."""
+    return pack_message(
+        "labels", None,
+        labels=np.concatenate([item.labels for item in items]),
+        tags=np.array([item.tag for item in items], dtype=np.int64),
+        rows=np.array([len(item.labels) for item in items], dtype=np.int64),
+    )
 
 
 class _BatchItem:
@@ -345,22 +355,12 @@ class _BatchItem:
         self.error: Optional[BaseException] = None
         self.arrived = time.monotonic()
 
-    def finish(self) -> None:
-        if self.sink is None:
-            self.event.set()
-            return
-        try:
-            if self.error is not None:
-                body = error_body(self.error, tag=self.tag)
-            else:
-                body = pack_compact(
-                    "labels",
-                    {"tag": self.tag, "n": int(self.labels.shape[0])},
-                    labels=self.labels,
-                )
-            self.sink.send_quiet(body)
-        finally:
-            self.sink.end_async()
+    def reply(self) -> bytes:
+        """The answer frame: the error, tagged like the request, or a strict
+        item's labels (the batcher answers tagged labels with :func:`_answers_body`)."""
+        if self.error is not None:
+            return error_body(self.error, tag=self.tag)
+        return pack_message("labels", {"n": int(self.labels.shape[0])}, labels=self.labels)
 
 
 class _PredictBatcher:
@@ -464,8 +464,20 @@ class _PredictBatcher:
         except Exception as exc:  # noqa: BLE001 - delivered per item
             for item in batch:
                 item.error = exc
+        # Strict items are answered by their session threads, in order;
+        # a session's pipelined items by one frame and one write.
+        answered: Dict[_SessionSink, List[_BatchItem]] = {}
         for item in batch:
-            item.finish()
+            if item.sink is None:
+                item.event.set()
+            else:
+                answered.setdefault(item.sink, []).append(item)
+        for sink, items in answered.items():
+            if items[0].error is not None:  # the whole batch failed
+                sink.send_quiet(*(item.reply() for item in items))
+            else:
+                sink.send_quiet(_answers_body(items))
+            sink.end_async(len(items))
 
 
 class _Subscriber:
@@ -711,7 +723,15 @@ class ModelServer(ThreadedFrameServer):
         bodies, clean_offset, torn_bytes = WriteAheadLog.read(path)
         applied = objects = 0
         for body in bodies:
-            kind, meta, arrays = unpack_message(body)
+            try:
+                kind, meta, arrays = unpack_message(body)
+            except TransportError as exc:
+                raise TransportError(
+                    f"{path}: cannot decode a log record ({exc}); a WAL written "
+                    "by an older version must be drained first — restart that "
+                    "version and take a snapshot (which empties the log) "
+                    "before upgrading"
+                ) from exc
             if kind != "wal" or "base_n" not in meta:
                 raise TransportError(
                     f"{path}: malformed log record (kind {kind!r}); refusing "
@@ -840,8 +860,9 @@ class ModelServer(ThreadedFrameServer):
     # ------------------------------------------------------------------ #
     def handle_session(self, conn: socket.socket) -> None:
         sink = _SessionSink(conn)
+        reader = FrameReader(conn)
         try:
-            body = recv_frame_interruptible(conn, self._closing.is_set)
+            body = reader.recv(self._closing.is_set)
             if body is None:
                 return  # draining before the handshake arrived
             kind, meta, arrays = unpack_message(body)
@@ -862,7 +883,7 @@ class ModelServer(ThreadedFrameServer):
             conn.settimeout(self.session_send_timeout)
             sink.send(pack_message("welcome", self.info()))
             while not sink.dead:
-                body = recv_frame_interruptible(conn, self._closing.is_set)
+                body = reader.recv(self._closing.is_set)
                 if body is None:
                     return  # draining; the client reconnects elsewhere
                 kind, meta, arrays = unpack_message(body)
@@ -928,12 +949,7 @@ class ModelServer(ThreadedFrameServer):
                 if thread is not None and not thread.is_alive():
                     item.error = RuntimeError("predict batcher exited")
                     break
-            if item.error is not None:
-                sink.send(error_body(item.error, tag=tag))
-            else:
-                sink.send(pack_message(
-                    "labels", {"n": int(item.labels.shape[0])}, labels=item.labels
-                ))
+            sink.send(item.reply())
 
     def _dispatch(
         self,
@@ -947,11 +963,7 @@ class ModelServer(ThreadedFrameServer):
             codes = np.asarray(arrays["codes"], dtype=np.int64)
             with self._lock.read():
                 labels = self.model.predict(codes)
-            if tag is not None:
-                return pack_compact(
-                    "labels", {"tag": tag, "n": int(labels.shape[0])}, labels=labels
-                )
-            return pack_message("labels", {"n": int(labels.shape[0])}, labels=labels)
+            return pack_message("labels", {"n": int(labels.shape[0]), **extra}, labels=labels)
         if kind == "ingest":
             if self.is_replica:
                 raise RuntimeError(
@@ -1210,16 +1222,18 @@ class ModelServer(ThreadedFrameServer):
         """Replica: apply the primary's delta stream; resync on any break."""
         sock = self._replication_sock
         self._replication_sock = None
+        reader = None if sock is None else FrameReader(sock)
         while not self._closing.is_set():
             try:
                 if sock is None:
                     sock, model, seq = self._open_replication_stream(self.connect_timeout)
+                    reader = FrameReader(sock)
                     with self._lock.write():
                         self.model = model
                         self.replica_seq = seq
                         if model.assignment_model_ is not None:
                             _ = model.assignment_model_.modes
-                body = recv_frame_interruptible(sock, self._closing.is_set)
+                body = reader.recv(self._closing.is_set)
                 if body is None:
                     break  # draining
                 kind, meta, arrays = unpack_message(body)

@@ -1,4 +1,4 @@
-"""The clusterer registry: completeness, aliases, construction, deprecation."""
+"""The clusterer registry: completeness, aliases, construction."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.distributed.runtime import ShardedCAME, ShardedMCDC, ShardedMGCPL
 from repro.experiments.runner import (
     METHOD_NAMES,
     PAPER_METHOD_PARAMS,
-    make_method,
     make_paper_method,
 )
 from repro.registry import (
@@ -135,14 +134,12 @@ class TestPaperFactory:
         with pytest.raises(ValueError, match="compared methods"):
             make_paper_method("competitive", n_clusters=3, seed=0)
 
-    def test_make_method_is_a_deprecated_shim(self):
-        with pytest.deprecated_call():
-            model = make_method("MCDC+F.", 3, 0)
+    def test_make_paper_method_builds_mcdc_with_fkmawcw(self):
+        model = make_paper_method("MCDC+F.", 3, 0)
         assert isinstance(model, MCDC)
         assert type(model.final_clusterer).__name__ == "FKMAWCW"
 
     @pytest.mark.parametrize("name", METHOD_NAMES)
-    def test_old_names_still_resolve_through_the_shim(self, name):
-        with pytest.deprecated_call():
-            model = make_method(name, 2, 0)
+    def test_old_names_resolve_through_make_paper_method(self, name):
+        model = make_paper_method(name, 2, 0)
         assert isinstance(model, BaseClusterer)

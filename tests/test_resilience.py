@@ -23,7 +23,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -275,7 +274,7 @@ class TestRecovery:
         reference.close()
 
     def test_sigkill_mid_fit_completes_identical_to_serial(
-        self, worker_fleet, fit_dataset
+        self, worker_fleet, fit_dataset, monkeypatch
     ):
         procs, hosts = worker_fleet
         serial = MGCPL(random_state=3, update_mode="batch").fit(fit_dataset)
@@ -283,14 +282,21 @@ class TestRecovery:
             n_shards=3, backend="tcp", hosts=hosts, random_state=3,
             backend_options={"max_retries": 3},
         )
-        killer = threading.Timer(
-            0.3, lambda: (procs[1].kill(), procs[1].wait(timeout=10))
-        )
-        killer.start()
-        try:
-            model.fit(fit_dataset)
-        finally:
-            killer.cancel()
+        # Kill a worker right before the third sweep is dispatched: tied to
+        # the fit's progress, not to a wall-clock delay the fit may outrun.
+        sweep = ResilientTCPExecutor.sweep
+        sweeps = []
+
+        def sweep_then_kill(executor, broadcast):
+            sweeps.append(broadcast)
+            if len(sweeps) == 3:
+                procs[1].kill()
+                procs[1].wait(timeout=10)
+            return sweep(executor, broadcast)
+
+        monkeypatch.setattr(ResilientTCPExecutor, "sweep", sweep_then_kill)
+        model.fit(fit_dataset)
+        assert len(sweeps) > 3, "the fit ended before the worker was killed"
         assert procs[1].poll() is not None, "worker survived the whole fit"
         np.testing.assert_array_equal(model.labels_, serial.labels_)
 

@@ -5,8 +5,8 @@ What must hold (ISSUE 7):
 * batched / pipelined predicts are **bit-identical** to sequential per-row
   predicts — including while an ingest stream races the batcher (every reply
   is some exact post-batch state, the final state is exactly the serial one);
-* the compact tagged frame layout round-trips exactly and fails *cleanly*
-  under fuzz (truncation, bad dtypes, trailing garbage) — ``TransportError``,
+* the frame layout round-trips exactly and fails *cleanly* under fuzz
+  (truncation, corruption, bad dtypes, trailing garbage) — ``TransportError``,
   never a wedged session or batcher thread;
 * tag protocol violations (duplicate, unknown, out-of-order beyond the
   window, mid-pipeline disconnect) fail the affected futures and connection
@@ -20,19 +20,24 @@ What must hold (ISSUE 7):
 from __future__ import annotations
 
 import socket
+import struct
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.data.uci.registry import load_dataset
 from repro.distributed.codec import (
-    COMPACT_MAGIC,
-    pack_compact,
+    FRAME_MAGIC,
     pack_message,
     recv_frame,
     send_frame,
+    send_frames,
     unpack_message,
 )
 from repro.distributed.transport import TransportError
@@ -84,15 +89,40 @@ def model_file(vot_model, tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Compact frame layout: round-trip and fuzz
+# The frame layout: round-trip and fuzz
 # ---------------------------------------------------------------------- #
+_WIRE_DTYPES = ("<i8", "<f8", "<i4", "|u1", "|b1")
+
+
+@st.composite
+def frame_arrays(draw, min_arrays=0, max_arrays=12):
+    """Named arrays of every wire dtype at ndim 0-4, some empty or non-contiguous."""
+    arrays = {}
+    for i in range(draw(st.integers(min_arrays, max_arrays))):
+        array = draw(hnp.arrays(
+            np.dtype(draw(st.sampled_from(_WIRE_DTYPES))),
+            hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+        ))
+        if array.ndim:
+            array = draw(st.sampled_from((array, array[::-1], array[::2])))
+        arrays[f"a{i}"] = array
+    return arrays
+
+
+frame_meta = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key != "kind"),
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    max_size=4,
+)
+
+
 class TestCompactCodec:
     def test_roundtrip_supported_dtypes(self):
         for dtype in (np.int64, np.float64, np.int32, np.uint8, np.bool_):
             array = (np.arange(12) % 2 == 0).reshape(3, 4) \
                 if dtype is np.bool_ else np.arange(12, dtype=dtype).reshape(3, 4)
-            body = pack_compact("predict", {"tag": 7}, codes=array)
-            assert body.startswith(COMPACT_MAGIC)
+            body = pack_message("predict", {"tag": 7}, codes=array)
+            assert body.startswith(FRAME_MAGIC)
             kind, meta, arrays = unpack_message(body)
             assert kind == "predict" and meta == {"tag": 7}
             np.testing.assert_array_equal(arrays["codes"], array)
@@ -105,32 +135,57 @@ class TestCompactCodec:
             np.empty((0, 5), dtype=np.int64),  # empty batch
             np.arange(8, dtype=np.int64)[::2],  # non-contiguous view
         ):
-            kind, meta, arrays = unpack_message(pack_compact("x", {}, v=array))
+            kind, meta, arrays = unpack_message(pack_message("x", {}, v=array))
             assert kind == "x"
             np.testing.assert_array_equal(arrays["v"], np.asarray(array))
             assert arrays["v"].shape == np.asarray(array).shape
 
+    @given(kind=st.text(max_size=8), meta=frame_meta, arrays=frame_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, kind, meta, arrays):
+        got_kind, got_meta, got = unpack_message(pack_message(kind, meta, **arrays))
+        assert (got_kind, got_meta) == (kind, meta)
+        assert list(got) == list(arrays)
+        for name, array in arrays.items():
+            assert got[name].dtype == array.dtype
+            assert got[name].shape == array.shape
+            assert got[name].tobytes() == array.tobytes()  # bit-exact, NaNs too
+            assert got[name].flags.writeable and got[name].flags.owndata
+
+    @given(arrays=frame_arrays(min_arrays=2, max_arrays=4), flip=st.integers(1, 255))
+    @settings(max_examples=25, deadline=None)
+    def test_truncation_and_corruption_property(self, arrays, flip):
+        body = pack_message("update", {"changed": True, "elapsed": 0.5}, **arrays)
+        for cut in range(len(body)):
+            with pytest.raises(TransportError):
+                unpack_message(body[:cut])
+        for position in range(len(body)):
+            corrupt = bytearray(body)
+            corrupt[position] ^= flip
+            try:
+                unpack_message(bytes(corrupt))
+            except TransportError:
+                pass
+
     def test_no_array_body(self):
-        body = pack_compact("info", {"tag": 3})
-        assert body.startswith(COMPACT_MAGIC)
+        body = pack_message("info", {"tag": 3})
+        assert body.startswith(FRAME_MAGIC)
         assert unpack_message(body) == ("info", {"tag": 3}, {})
 
-    def test_unsupported_payloads_fall_back_to_npz(self):
+    def test_unsupported_payloads_rejected_at_pack_time(self):
         for kwargs in (
             {"a": np.zeros(3, dtype=np.float32)},           # dtype not listed
+            {"a": np.zeros(3, dtype=">i8")},                # big-endian
+            {"a": np.asarray(["x", "y"])},                  # strings
+            {"a": np.asarray([{}], dtype=object)},          # objects
             {"a": np.zeros((1, 1, 1, 1, 1), dtype=np.int64)},  # ndim > 4
-            {"a": np.zeros(2, dtype=np.int64), "b": np.ones(2, dtype=np.int64)},
+            {"n" * 256: np.zeros(2, dtype=np.int64)},       # name over 255 bytes
         ):
-            body = pack_compact("k", {"m": 1}, **kwargs)
-            assert not body.startswith(COMPACT_MAGIC)  # npz fallback
-            kind, meta, arrays = unpack_message(body)
-            assert kind == "k" and meta == {"m": 1}
-            assert set(arrays) == set(kwargs)
-            for name, array in kwargs.items():
-                np.testing.assert_array_equal(arrays[name], array)
+            with pytest.raises(TransportError, match="cannot frame"):
+                pack_message("k", {"m": 1}, **kwargs)
 
     def test_every_truncation_fails_cleanly(self):
-        body = pack_compact(
+        body = pack_message(
             "predict", {"tag": 9}, codes=np.arange(20, dtype=np.int64).reshape(4, 5)
         )
         for cut in range(len(body)):
@@ -138,25 +193,35 @@ class TestCompactCodec:
                 unpack_message(body[:cut])
 
     def test_trailing_garbage_rejected(self):
-        body = pack_compact("predict", {"tag": 1}, codes=np.zeros(3, dtype=np.int64))
+        body = pack_message("predict", {"tag": 1}, codes=np.zeros(3, dtype=np.int64))
         with pytest.raises(TransportError):
             unpack_message(body + b"\x00")
 
     def test_unlisted_dtype_on_the_wire_rejected(self):
         # Hand-craft a frame claiming a dtype outside the whitelist: the
         # receiver must refuse it rather than np.frombuffer arbitrary bytes.
-        good = pack_compact("x", {}, v=np.zeros(2, dtype=np.int64))
+        good = pack_message("x", {}, v=np.zeros(2, dtype=np.int64))
         assert b"<i8" in good
         evil = good.replace(b"<i8", b"<f2")
         with pytest.raises(TransportError, match="dtype"):
             unpack_message(evil)
 
     def test_bad_meta_json_rejected(self):
-        import struct
-
         meta = b"{not json"
-        body = COMPACT_MAGIC + struct.pack(">I", len(meta)) + meta + b"\x00\x00"
-        with pytest.raises(TransportError, match="malformed compact frame"):
+        body = FRAME_MAGIC + struct.pack(">I", len(meta)) + meta + b"\x00"
+        with pytest.raises(TransportError, match="malformed frame"):
+            unpack_message(body)
+
+    def test_shape_whose_byte_count_wraps_int64_rejected(self):
+        # (65536,) * 4 elements of 8 bytes is 2**67 bytes, which wraps to 0 in
+        # int64 arithmetic; the reader must see it exceed the 0 bytes left
+        # (not "fit" an empty payload and fail later in reshape).
+        meta = b'{"kind": "x"}'
+        body = (
+            FRAME_MAGIC + struct.pack(">I", len(meta)) + meta
+            + b"\x01" + b"\x01v" + b"\x03<i8" + b"\x04" + struct.pack(">4I", *(65536,) * 4)
+        )
+        with pytest.raises(TransportError, match="malformed frame: truncated"):
             unpack_message(body)
 
     def test_request_tag_validation(self):
@@ -296,6 +361,68 @@ class TestPipelinedPredicts:
         finally:
             assert server.stop(timeout=10)
 
+    def test_burst_replies_stay_matched_under_thread_churn(self, vot_model, vot):
+        """Replies the batcher writes per session in one burst, and the client
+        reads ahead, each reach their own future — with more clients than
+        cores and threads switching every few microseconds."""
+        rows = np.ascontiguousarray(vot.codes, dtype=np.int64)
+        expected = vot_model.predict(rows)
+        server = serve_model(vot_model, max_batch_rows=4096)
+        failures: list = []
+
+        def pipeline(offset):
+            try:
+                with ServingClient(server.address) as client:
+                    spans = [((offset + 3 * i) % (len(rows) - 2), 1 + i % 3)
+                             for i in range(150)]
+                    futures = [client.predict_async(rows[a : a + n]) for a, n in spans]
+                    for (a, n), future in zip(spans, futures):
+                        np.testing.assert_array_equal(future.result(), expected[a : a + n])
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=pipeline, args=(k * 37,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            assert server.stop(timeout=10)
+        assert failures == []
+
+    def test_batcher_answers_a_sessions_burst_in_one_frame(self, vot_model, vot):
+        """Tagged predicts of one session in one batch come back as one
+        ``labels`` frame whose ``tags``/``rows`` split the labels exactly."""
+        rows = np.ascontiguousarray(vot.codes, dtype=np.int64)
+        spans = {0: (0, 3), 1: (5, 1), 2: (9, 2)}
+        server = serve_model(vot_model, max_batch_rows=4096, max_batch_delay_ms=500)
+        try:
+            with ServingClient(server.address) as client:
+                client.connect()
+                send_frames(client._sock, [
+                    pack_message("predict", {"tag": tag}, codes=rows[a : a + n])
+                    for tag, (a, n) in spans.items()
+                ])
+                kind, _, arrays = unpack_message(recv_frame(client._sock))
+        finally:
+            assert server.stop(timeout=10)
+        assert kind == "labels"
+        assert sorted(arrays["tags"].tolist()) == [0, 1, 2]
+        start = 0
+        for tag, n in zip(arrays["tags"].tolist(), arrays["rows"].tolist()):
+            a, want = spans[tag]
+            assert n == want
+            np.testing.assert_array_equal(
+                arrays["labels"][start : start + n], vot_model.predict(rows[a : a + n])
+            )
+            start += n
+        assert start == arrays["labels"].shape[0]
+
     def test_malformed_tag_ends_session_but_not_server(self, vot_model, vot):
         server = serve_model(vot_model, max_batch_rows=4096)
         try:
@@ -322,7 +449,7 @@ class TestPipelinedPredicts:
             for _ in range(3):
                 rude = ServingClient(server.address).connect()
                 for tag in range(10):
-                    send_frame(rude._sock, pack_compact(
+                    send_frame(rude._sock, pack_message(
                         "predict", {"tag": tag}, codes=_two_rows(vot)
                     ))
                 rude._sock.close()  # vanish with replies still owed
@@ -383,7 +510,7 @@ class TestTagViolations:
                 _, meta, _ = unpack_message(recv_frame(conn))
                 tags.append(meta["tag"])
             for tag in reversed(tags):
-                send_frame(conn, pack_compact(
+                send_frame(conn, pack_message(
                     "labels", {"tag": tag, "n": 1},
                     labels=np.asarray([tag], dtype=np.int64),
                 ))
@@ -399,10 +526,59 @@ class TestTagViolations:
         thread.join(timeout=10)
         assert errors == []
 
+    def test_one_frame_answering_several_tags_is_split_by_rows(self):
+        def reply_grouped(conn):
+            for _ in range(3):
+                recv_frame(conn)
+            send_frame(conn, pack_message(
+                "labels", {"n": 6},
+                labels=np.asarray([7, 7, 7, 5, 5, 6], dtype=np.int64),
+                tags=np.asarray([2, 0, 1], dtype=np.int64),
+                rows=np.asarray([3, 2, 1], dtype=np.int64),
+            ))
+
+        address, thread, errors = scripted_server(reply_grouped)
+        with ServingClient(address) as client:
+            futures = [client.predict_async(np.zeros((n, 2), dtype=np.int64))
+                       for n in (2, 1, 3)]
+            np.testing.assert_array_equal(futures[0].result(), [5, 5])
+            np.testing.assert_array_equal(futures[1].result(), [6])
+            np.testing.assert_array_equal(futures[2].result(), [7, 7, 7])
+        thread.join(timeout=10)
+        assert errors == []
+
+    @pytest.mark.parametrize("tags, rows, labels", [
+        ([0], [2], [1]),            # rows claim more labels than sent
+        ([0], [-1], []),            # negative row count
+        ([0, 0], [1, 1], [1, 1]),   # one tag answered twice
+        ([0.0], [1], [1]),          # non-integer tag
+    ], ids=["short", "negative", "duplicate", "float-tag"])
+    def test_malformed_grouped_reply_fails_cleanly(self, tags, rows, labels):
+        def reply_malformed(conn):
+            recv_frame(conn)
+            send_frame(conn, pack_message(
+                "labels", {},
+                labels=np.asarray(labels, dtype=np.int64),
+                tags=np.asarray(tags),
+                rows=np.asarray(rows, dtype=np.int64),
+            ))
+            try:
+                recv_frame(conn)  # park until the client hangs up
+            except TransportError:
+                pass
+
+        address, thread, errors = scripted_server(reply_malformed)
+        with ServingClient(address) as client:
+            future = client.predict_async(np.zeros((1, 2), dtype=np.int64))
+            with pytest.raises(TransportError):
+                future.result()
+            assert client._sock is None  # connection dropped, not wedged
+        thread.join(timeout=10)
+
     def test_unknown_tag_fails_all_outstanding(self):
         def reply_unknown(conn):
             recv_frame(conn)
-            send_frame(conn, pack_compact(
+            send_frame(conn, pack_message(
                 "labels", {"tag": 999, "n": 1},
                 labels=np.zeros(1, dtype=np.int64),
             ))
@@ -420,7 +596,7 @@ class TestTagViolations:
             _, meta, _ = unpack_message(recv_frame(conn))
             tag = meta["tag"]
             for _ in range(2):
-                send_frame(conn, pack_compact(
+                send_frame(conn, pack_message(
                     "labels", {"tag": tag, "n": 1},
                     labels=np.zeros(1, dtype=np.int64),
                 ))

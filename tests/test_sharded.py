@@ -16,9 +16,9 @@ from repro.data.uci.registry import load_dataset
 from repro.distributed import (
     MultiGranularPartitioner,
     ShardedCAME,
-    ShardedCoordinator,
     ShardedMCDC,
     ShardedMGCPL,
+    make_executor,
     resolve_shard_indices,
 )
 from repro.engine import make_engine
@@ -165,7 +165,7 @@ class TestShardedCoordinator:
         codes, cats = small_clusters.codes, list(small_clusters.n_categories)
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 5, size=codes.shape[0]).astype(np.int64)
-        with ShardedCoordinator(codes, cats, shards=3, backend="serial") as coordinator:
+        with make_executor("serial", codes, cats, shards=3) as coordinator:
             coordinator.begin_epoch(5, labels)
             merged = coordinator.rebuild(labels)
         full = make_engine(codes, cats, 5, labels=labels).snapshot()
@@ -177,7 +177,7 @@ class TestShardedCoordinator:
         rng = np.random.default_rng(4)
         modes = codes[rng.choice(codes.shape[0], size=4, replace=False)]
         theta = np.full(codes.shape[1], 1.0 / codes.shape[1])
-        with ShardedCoordinator(codes, cats, shards=4, backend="serial") as coordinator:
+        with make_executor("serial", codes, cats, shards=4) as coordinator:
             coordinator.begin_epoch(4, None)
             labels = coordinator.hamming_assign(modes, theta)
         full = make_engine(codes, cats, 4)
@@ -187,7 +187,7 @@ class TestShardedCoordinator:
     def test_process_backend_round_trip(self, tiny_clusters):
         codes, cats = tiny_clusters.codes, list(tiny_clusters.n_categories)
         labels = np.zeros(codes.shape[0], dtype=np.int64)
-        with ShardedCoordinator(codes, cats, shards=2, backend="process") as coordinator:
+        with make_executor("process", codes, cats, shards=2) as coordinator:
             state = coordinator.begin_epoch(2, labels)
         full = make_engine(codes, cats, 2, labels=labels).snapshot()
         np.testing.assert_array_equal(state.packed, full.packed)

@@ -462,25 +462,22 @@ class TestCodecFuzz:
 
         from repro.distributed.codec import unpack_message
 
-        with pytest.raises(TransportError, match="malformed frame"):
+        with pytest.raises(TransportError, match="unknown magic"):
             unpack_message(b"")  # empty body
-        with pytest.raises(TransportError, match="malformed frame"):
+        with pytest.raises(TransportError, match="unknown magic"):
             unpack_message(b"not an npz archive at all")
-        # a well-formed npz archive missing the __meta__ entry
-        buffer = io.BytesIO()
-        np.savez(buffer, data=np.arange(3))
-        with pytest.raises(TransportError, match="malformed frame"):
-            unpack_message(buffer.getvalue())
-        # __meta__ present but not JSON
-        buffer = io.BytesIO()
-        np.savez(buffer, __meta__=np.asarray("{this is not json"))
-        with pytest.raises(TransportError, match="malformed frame"):
-            unpack_message(buffer.getvalue())
-        # valid JSON object without a kind
-        buffer = io.BytesIO()
-        np.savez(buffer, __meta__=np.asarray('{"protocol": 1}'))
-        with pytest.raises(TransportError, match="malformed frame"):
-            unpack_message(buffer.getvalue())
+        # The old layouts are rejected by their magic: npz archives (with or
+        # without a well-formed __meta__ entry) and the single-array RFC1 body.
+        for meta in (None, "{this is not json", '{"protocol": 1}', '{"kind": "call"}'):
+            buffer = io.BytesIO()
+            if meta is None:
+                np.savez(buffer, data=np.arange(3))
+            else:
+                np.savez(buffer, __meta__=np.asarray(meta))
+            with pytest.raises(TransportError, match="unknown magic b'PK"):
+                unpack_message(buffer.getvalue())
+        with pytest.raises(TransportError, match="unknown magic b'RFC1'"):
+            unpack_message(b"RFC1\x00\x00\x00\x02{}\x00\x00")
 
     # -- server side ------------------------------------------------------- #
     def test_truncated_frame_then_disconnect(self, target):

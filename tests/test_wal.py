@@ -15,6 +15,7 @@ must be rejected instead of silently coerced to "disabled".
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import signal
@@ -469,6 +470,23 @@ class TestReplayEdgeCases:
         )
         with pytest.raises(TransportError, match="malformed log record"):
             ModelServer(model_file, wal=True)
+
+    def test_record_written_before_the_upgrade_names_the_log(self, vot, model_file):
+        # A record whose body is an npz archive, as the previous frame
+        # layout wrote it: recovery must name the log and say how to drain it.
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            __meta__=np.asarray('{"kind": "wal", "seq": 1, "base_n": 120}'),
+            codes=np.asarray(vot.codes[120:125], dtype=np.int64),
+            labels=np.zeros(5, dtype=np.int64),
+        )
+        wal_path = model_file.with_name(model_file.name + ".wal")
+        wal_path.write_bytes(wal_record(buffer.getvalue()))
+        with pytest.raises(TransportError, match="older version") as excinfo:
+            ModelServer(model_file, wal=True)
+        assert str(wal_path) in str(excinfo.value)
+        assert "unknown magic b'PK" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------- #
