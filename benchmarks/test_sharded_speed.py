@@ -3,8 +3,8 @@
 Two measurements pin the sharded runtime into the bench trajectory:
 
 * ``test_sharded_equivalence_smoke`` (always runs) — a small fit through the
-  real process-pool backend, asserting the sharded labels agree with the
-  serial ones; this keeps the runtime exercised on every CI run.
+  real shared-memory worker-pool backend, asserting the sharded labels agree
+  with the serial ones; this keeps the runtime exercised on every CI run.
 * ``test_sharded_speedup`` — the acceptance measurement: serial vs 4-shard
   wall clock on one Fig. 6-style epoch workload.  The default size is scaled
   down so the suite stays fast; export ``REPRO_BENCH_FULL=1`` for the
@@ -52,7 +52,7 @@ def test_sharded_equivalence_smoke(benchmark):
     serial = MGCPL(**MGCPL_PARAMS).fit(ds)
 
     def sharded_fit():
-        return ShardedMGCPL(n_shards=2, backend="process", **MGCPL_PARAMS).fit(ds)
+        return ShardedMGCPL(n_shards=2, backend="shm", **MGCPL_PARAMS).fit(ds)
 
     model = benchmark.pedantic(sharded_fit, iterations=1, rounds=1)
     ari = adjusted_rand_index(serial.labels_, model.labels_)
@@ -69,7 +69,7 @@ def test_sharded_speedup(benchmark):
 
     def sharded_fit():
         return ShardedMGCPL(
-            n_shards=BENCH_SHARDS, backend="process", **MGCPL_PARAMS
+            n_shards=BENCH_SHARDS, backend="shm", **MGCPL_PARAMS
         ).fit(ds)
 
     start = time.perf_counter()

@@ -11,11 +11,15 @@ The paper motivates MCDC with two distributed-computing use cases:
 
 This package provides the *real* sharded execution runtime — a
 transport-pluggable executor API (:mod:`repro.distributed.transport`:
-``make_executor`` over a ``"serial"`` / ``"process"`` / ``"tcp"`` backend
-registry), the multi-host TCP backend (:mod:`repro.distributed.rpc`: a
-``repro worker`` server plus a socket coordinator) and the
+``make_executor`` over a ``"serial"`` / ``"shm"`` / ``"tcp"`` backend
+registry: in-process reference, one host, many hosts), the shared-memory
+single-host backend (:mod:`repro.distributed.shm`), the multi-host TCP
+backend (:mod:`repro.distributed.rpc` + :mod:`repro.distributed.resilience`:
+a ``repro worker`` server plus a fault-tolerant socket coordinator whose
+resident workers also take appends and splits), the
 ``ShardedMGCPL`` / ``ShardedCAME`` / ``ShardedMCDC`` estimator wrappers
-(:mod:`repro.distributed.runtime`) — alongside a lightweight simulated
+(:mod:`repro.distributed.runtime`) and the streaming ``StreamingMGCPL``
+(:mod:`repro.distributed.streaming`) — alongside a lightweight simulated
 cluster substrate (nodes, workloads, a scheduler, pluggable execution
 backends) and the MCDC-guided partitioner with the metrics that quantify
 what the pre-partitioning preserves (locality, balance, consistency).
@@ -37,11 +41,7 @@ from repro.distributed.runtime import (
 )
 from repro.distributed.shardcache import ShardCache, parse_byte_size, shard_content_key
 from repro.distributed.shm import ShmExecutor
-from repro.distributed.streaming import (
-    StreamingCoordinator,
-    StreamingMGCPL,
-    StreamingTCPExecutor,
-)
+from repro.distributed.streaming import StreamingCoordinator, StreamingMGCPL
 from repro.distributed.transport import (
     RemoteWorkerError,
     ShardExecutor,
@@ -80,7 +80,6 @@ __all__ = [
     "ShmExecutor",
     "StreamingCoordinator",
     "StreamingMGCPL",
-    "StreamingTCPExecutor",
     "HeartbeatMonitor",
     "ResilientTCPExecutor",
     "RetryPolicy",

@@ -1,36 +1,27 @@
-"""Process-parallel sharded execution of MGCPL, CAME and MCDC.
+"""Sharded execution of MGCPL, CAME and MCDC: the ``Sharded*`` estimators.
 
-This module contributes the ``"process"`` backend to the transport registry
-(:mod:`repro.distributed.transport`) and the ``Sharded*`` estimator wrappers:
-
-* :class:`ProcessTransport` pins one single-process
-  :class:`concurrent.futures.ProcessPoolExecutor` to one shard.  Pinning one
-  pool to one shard gives worker/shard affinity for free: the shard's codes
-  are pickled to its worker exactly once, at pool start-up, and every
-  subsequent message is only the small broadcast/update payload
-  (``O(k * M)`` counts plus the shard's labels — never the data).
-* :class:`ShardedMGCPL` / :class:`ShardedCAME` / :class:`ShardedMCDC` are
-  drop-in wrappers over the serial estimators that construct their shard
-  executor through :func:`~repro.distributed.transport.make_executor`, so any
-  registered backend — ``"serial"``, ``"process"``, ``"tcp"`` or a plugin —
-  drives the *same* epoch/iteration loops.  Sharded results match the serial
-  ones: exactly for the count statistics and CAME (whose per-object distances
-  do not cross shard boundaries), and to floating-point tolerance for MGCPL's
-  learning trajectory (shard-wise partial sums of the competition statistics
-  regroup float additions).
+:class:`ShardedMGCPL` / :class:`ShardedCAME` / :class:`ShardedMCDC` are
+drop-in wrappers over the serial estimators that construct their shard
+executor through :func:`~repro.distributed.transport.make_executor`, so any
+registered backend — ``"serial"``, ``"shm"`` (the default), ``"tcp"`` or a
+plugin — drives the *same* epoch/iteration loops.  Sharded results match the
+serial ones: exactly for the count statistics and CAME (whose per-object
+distances do not cross shard boundaries), and to floating-point tolerance
+for MGCPL's learning trajectory (shard-wise partial sums of the competition
+statistics regroup float additions).
 
 With ``backend="serial"`` the estimators degrade to the in-process
 multi-shard executor — the full shard/merge protocol without processes —
 which is what the equivalence tests exercise deterministically and what
-single-core machines fall back to.  With ``backend="tcp"`` the shards live
-behind ``repro worker`` servers on other hosts (:mod:`repro.distributed.rpc`).
+single-core machines fall back to.  ``backend="shm"`` runs the shards on
+resident worker pools over one shared-memory segment
+(:mod:`repro.distributed.shm`; ``"process"`` is an alias of it), and with
+``backend="tcp"`` the shards live behind ``repro worker`` servers on other
+hosts (:mod:`repro.distributed.rpc`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -38,29 +29,17 @@ import numpy as np
 from repro.core.came import CAME
 from repro.core.mcdc import MCDC, MCDCEncoder
 from repro.core.mgcpl import MGCPL
-from repro.core.sync import ShardWorker
 from repro.distributed.transport import (
     ShardExecutor,
     ShardSpec,
-    TransportError,
-    TransportExecutor,
-    close_all,
     default_n_shards,
     get_backend_spec,
     make_executor,
-    register_backend,
     resolve_shard_indices,
 )
 from repro.registry import register_clusterer
 
-#: Hard cap on worker processes: one pool per shard, so a mistaken shard
-#: spec (e.g. an assignment vector with one object per shard) must not fork
-#: thousands of processes.
-MAX_PROCESS_SHARDS = 64
-
 __all__ = [
-    "MAX_PROCESS_SHARDS",
-    "ProcessTransport",
     "ShardedMGCPL",
     "ShardedCAME",
     "ShardedMCDC",
@@ -68,121 +47,6 @@ __all__ = [
     "default_n_shards",
     "resolve_shard_indices",
 ]
-
-
-# ---------------------------------------------------------------------- #
-# Worker-process plumbing
-# ---------------------------------------------------------------------- #
-_WORKER: Optional[ShardWorker] = None
-
-
-def _worker_init(codes: np.ndarray, n_categories: List[int], engine_kind: str) -> None:
-    """Pool initializer: receive the shard's codes once and keep them resident."""
-    global _WORKER
-    _WORKER = ShardWorker(codes, n_categories, engine=engine_kind)
-
-
-def _worker_call(method: str, *args):
-    """Dispatch one shard-local operation to the resident worker."""
-    assert _WORKER is not None, "worker process was not initialised with a shard"
-    return getattr(_WORKER, method)(*args)
-
-
-class ProcessTransport:
-    """One shard's channel to its dedicated single-process pool.
-
-    ``submit`` returns immediately with the future enqueued; ``result`` pops
-    futures in FIFO order, translating a broken pool (the worker process
-    died) into a :class:`TransportError`.
-    """
-
-    def __init__(
-        self,
-        codes: np.ndarray,
-        n_categories: Sequence[int],
-        engine: str = "auto",
-        mp_context=None,
-    ) -> None:
-        self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=mp_context,
-            initializer=_worker_init,
-            initargs=(np.ascontiguousarray(codes), list(n_categories), engine),
-        )
-        self._futures: deque = deque()
-
-    def submit(self, method: str, args: tuple) -> None:
-        if self._pool is None:
-            raise TransportError(f"process transport is closed; cannot run {method!r}")
-        try:
-            self._futures.append(self._pool.submit(_worker_call, method, *args))
-        except (BrokenProcessPool, RuntimeError) as exc:
-            raise TransportError(f"shard worker process is gone: {exc}") from exc
-
-    def result(self):
-        try:
-            return self._futures.popleft().result()
-        except BrokenProcessPool as exc:
-            raise TransportError(
-                "shard worker process died mid-operation (BrokenProcessPool); "
-                "its shard's state is lost — re-create the executor to refit"
-            ) from exc
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._futures.clear()
-
-
-@register_backend(
-    "process",
-    aliases=("multiprocess", "processes"),
-    description="One worker process per shard (codes shipped once at pool start)",
-    options=("mp_context",),
-)
-class ProcessExecutor(TransportExecutor):
-    """Fan shard-local steps out over per-shard worker processes and merge.
-
-    Construction is transactional: the pools are started and health-checked
-    (a ``ping`` per worker forces the initializer to run), and if any pool
-    fails to come up — or ``_worker_init`` raises inside a worker — every
-    already-started pool is shut down before the error propagates, so a
-    failed construction leaks no processes.  ``close`` is idempotent.
-    """
-
-    def __init__(
-        self,
-        codes: np.ndarray,
-        n_categories: Sequence[int],
-        shard_indices: Sequence[np.ndarray],
-        engine: str = "auto",
-        mp_context=None,
-    ) -> None:
-        if len(shard_indices) > MAX_PROCESS_SHARDS:
-            raise ValueError(
-                f"{len(shard_indices)} shards would spawn as many worker "
-                f"processes (> {MAX_PROCESS_SHARDS}); use fewer shards, or "
-                "backend='serial' for fine-grained shard layouts"
-            )
-        codes = np.asarray(codes, dtype=np.int64)
-        transports: List[ProcessTransport] = []
-        try:
-            for idx in shard_indices:
-                transports.append(
-                    ProcessTransport(codes[idx], n_categories, engine, mp_context)
-                )
-            # Force every initializer to run now: a worker that cannot even
-            # receive its shard must fail the constructor, not the first sweep.
-            for transport in transports:
-                transport.submit("ping", ())
-            for transport, idx in zip(transports, shard_indices):
-                if transport.result() != idx.size:
-                    raise TransportError("worker reports a different shard size")
-        except BaseException:
-            close_all(transports)
-            raise
-        super().__init__(transports, shard_indices, codes.shape[0])
 
 
 # ---------------------------------------------------------------------- #
@@ -273,10 +137,10 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
         assignment vector, a :class:`PartitionPlan`, or index arrays — are
         accepted too.
     backend:
-        A registered executor backend: ``"process"`` (default), ``"serial"``,
+        A registered executor backend: ``"shm"`` (default), ``"serial"``,
         or ``"tcp"`` (shards on remote ``repro worker`` servers).
     mp_context:
-        Optional multiprocessing context (``backend="process"`` only).
+        Optional multiprocessing context (``backend="shm"`` only).
     hosts:
         ``"host:port"`` worker addresses (``backend="tcp"`` only).
     backend_options:
@@ -289,7 +153,7 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
     def __init__(
         self,
         n_shards: ShardSpec = None,
-        backend: str = "process",
+        backend: str = "shm",
         mp_context=None,
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
@@ -326,7 +190,7 @@ class ShardedCAME(_ShardedMixin, CAME):
         self,
         n_clusters: int,
         n_shards: ShardSpec = None,
-        backend: str = "process",
+        backend: str = "shm",
         mp_context=None,
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
@@ -345,7 +209,7 @@ class ShardedMCDCEncoder(_ShardedMixin, MCDCEncoder):
     def __init__(
         self,
         n_shards: ShardSpec = None,
-        backend: str = "process",
+        backend: str = "shm",
         mp_context=None,
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
@@ -391,7 +255,7 @@ class ShardedMCDC(_ShardedMixin, MCDC):
         self,
         n_clusters: int,
         n_shards: ShardSpec = None,
-        backend: str = "process",
+        backend: str = "shm",
         mp_context=None,
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,

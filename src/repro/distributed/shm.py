@@ -1,8 +1,9 @@
 """Zero-copy shared-memory shard executor (the ``"shm"`` backend).
 
-The ``"process"`` backend pickles every shard's codes into its worker pool at
-construction, and pays a full pool spawn per executor.  This backend removes
-both costs for single-host runs:
+The single-host parallel backend, and the ``Sharded*`` estimators' default.
+``"process"``, ``"multiprocess"`` and ``"processes"`` are aliases of it.
+Pickling every shard's codes into a fresh worker pool per executor would pay
+a copy and a full pool spawn per fit; this backend removes both costs:
 
 * The ``(n, d)`` code matrix is written once, shard-permuted and contiguous,
   into one :class:`multiprocessing.shared_memory.SharedMemory` segment.
@@ -21,8 +22,16 @@ Segment lifecycle is belt-and-braces:
 * The executor owns its segment by name (``repro_shm_<pid>_<nonce>``) and
   unlinks it in ``close()`` — which the estimators always call — so a normal
   fit leaves nothing in ``/dev/shm``.
-* An ``atexit`` hook unlinks any segment still live at interpreter exit
-  (e.g. an executor the caller forgot to close).
+* An exit hook unlinks any segment still live at process exit (e.g. an
+  executor the caller forgot to close) and shuts the idle pools down.  It is
+  a :mod:`multiprocessing` finalizer rather than an ``atexit`` hook, so it
+  also runs when the coordinator is itself a worker process (a trial of
+  ``map_trials(n_jobs>1)``), where it must run before the exiting worker
+  joins its children.  A forked child starts with no pools, no segments
+  and no hook of its own: the ones it inherits belong to its parent.
+* The segment is refused, with a :class:`TransportError`, when ``/dev/shm``
+  has too little free space for it: on a full tmpfs the first write would
+  kill the coordinator with ``SIGBUS`` instead.
 * Workers *unregister* their attachment from :mod:`multiprocessing`'s
   ``resource_tracker`` (they are borrowers, not owners), while the creating
   process keeps its registration.  That registration is the dead-coordinator
@@ -32,12 +41,13 @@ Segment lifecycle is belt-and-braces:
 
 Transport failures surface as
 :class:`~repro.distributed.transport.TransportError`, matching the other
-backends; a broken pool is shut down rather than returned to the free list.
+backends; a broken pool is shut down rather than returned to the free list,
+and an idle pool whose worker died on the free list is shut down and skipped
+when the next executor acquires its pools.
 """
 
 from __future__ import annotations
 
-import atexit
 import gc
 import os
 import secrets
@@ -46,7 +56,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_start_method, resource_tracker, shared_memory
+from multiprocessing import get_start_method, resource_tracker, shared_memory, util
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -59,7 +69,9 @@ from repro.distributed.transport import (
     register_backend,
 )
 
-#: Same spawn cap as the process backend: one resident pool per shard.
+#: Hard cap on worker processes: one resident pool per shard, so a mistaken
+#: shard spec (e.g. an assignment vector with one object per shard) must not
+#: fork thousands of processes.
 MAX_SHM_SHARDS = 64
 
 #: Idle pools kept per start-method; extras are shut down on release.
@@ -68,6 +80,9 @@ MAX_RESIDENT_POOLS = 32
 #: Seconds to wait for a worker to acknowledge a detach before the pool is
 #: judged wedged and discarded instead of reused.
 DETACH_TIMEOUT = 30.0
+
+#: Where POSIX shared memory lives on Linux; its free space bounds a segment.
+SHM_DIR = "/dev/shm"
 
 __all__ = [
     "MAX_SHM_SHARDS",
@@ -187,10 +202,22 @@ def _context_key(mp_context) -> str:
     return mp_context.get_start_method()
 
 
+def _pool_is_broken(pool: ProcessPoolExecutor) -> bool:
+    """Whether an idle pool lost its worker (killed, or died on its own)."""
+    # Private ProcessPoolExecutor fields, checked on Python 3.10 and 3.12.
+    processes = getattr(pool, "_processes", None) or {}
+    return bool(getattr(pool, "_broken", False)) or not all(
+        worker.is_alive() for worker in processes.values()
+    )
+
+
 def _acquire_pool(key: str, mp_context) -> ProcessPoolExecutor:
     free = _FREE_POOLS.get(key)
-    if free:
-        return free.popleft()
+    while free:
+        pool = free.popleft()
+        if not _pool_is_broken(pool):
+            return pool
+        pool.shutdown(wait=False, cancel_futures=True)
     return ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
 
 
@@ -218,31 +245,64 @@ def shutdown() -> None:
 # Segment ownership + exit safety net
 # ---------------------------------------------------------------------- #
 _LIVE_SEGMENTS: set = set()
-_ATEXIT_REGISTERED = False
+_EXIT_HOOK_REGISTERED = False
 
 
-def _atexit_cleanup() -> None:  # pragma: no cover - runs at interpreter exit
+def _exit_cleanup() -> None:  # pragma: no cover - runs at process exit
     for segment in list(_LIVE_SEGMENTS):
         segment.unlink()
     shutdown()
 
 
-def _ensure_atexit() -> None:
-    global _ATEXIT_REGISTERED
-    if not _ATEXIT_REGISTERED:
-        atexit.register(_atexit_cleanup)
-        _ATEXIT_REGISTERED = True
+def _ensure_exit_hook() -> None:
+    global _EXIT_HOOK_REGISTERED
+    if not _EXIT_HOOK_REGISTERED:
+        # Priority >= 0 runs in multiprocessing's exit function before it
+        # joins the live children, which idle resident workers never leave;
+        # above 10, it also runs before the pools' call queues close their
+        # feeder threads, which carry the workers' shutdown sentinels.
+        util.Finalize(None, _exit_cleanup, exitpriority=100)
+        _EXIT_HOOK_REGISTERED = True
+
+
+def _forget_parent_state() -> None:
+    """In a forked child: the inherited pools, segments and hook are the parent's."""
+    global _EXIT_HOOK_REGISTERED
+    _FREE_POOLS.clear()
+    _LIVE_SEGMENTS.clear()
+    _EXIT_HOOK_REGISTERED = False
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_parent_state)
+
+
+def _check_capacity(nbytes: int) -> None:
+    """Refuse a segment that ``/dev/shm`` has no room for."""
+    try:
+        stats = os.statvfs(SHM_DIR)
+    except OSError:  # no such directory here: nothing to check against
+        return
+    free = stats.f_bavail * stats.f_frsize
+    if nbytes > free:
+        raise TransportError(
+            f"the shm backend needs a {nbytes}-byte shared-memory segment but "
+            f"{SHM_DIR} has only {free} bytes free; enlarge it (for a container, "
+            "e.g. docker run --shm-size) or use backend='serial' or backend='tcp'"
+        )
 
 
 class _Segment:
     """One named shared-memory segment, owned (and unlinked) by its creator."""
 
     def __init__(self, nbytes: int) -> None:
+        nbytes = max(int(nbytes), 8)
+        _check_capacity(nbytes)
         for _ in range(8):
             name = f"repro_shm_{os.getpid()}_{secrets.token_hex(4)}"
             try:
                 self._shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=max(int(nbytes), 8)
+                    name=name, create=True, size=nbytes
                 )
                 break
             except FileExistsError:  # pragma: no cover - nonce collision
@@ -325,7 +385,7 @@ class ShmTransport:
 
 @register_backend(
     "shm",
-    aliases=("sharedmem", "shared-memory"),
+    aliases=("sharedmem", "shared-memory", "process", "multiprocess", "processes"),
     description="Zero-copy shared-memory segment + resident single-host worker pools",
     options=("mp_context",),
 )
@@ -358,7 +418,7 @@ class ShmExecutor(TransportExecutor):
         n, d = codes.shape
         if d == 0:
             raise ValueError("shm backend requires at least one feature column")
-        _ensure_atexit()
+        _ensure_exit_hook()
         stops = np.cumsum([idx.size for idx in shard_indices])
         starts = stops - np.asarray([idx.size for idx in shard_indices])
         segment: Optional[_Segment] = None

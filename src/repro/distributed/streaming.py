@@ -1,15 +1,15 @@
 """Streaming-native sharded runtime: resident, append-capable shard workers.
 
-Every executor before this one assumed a frozen dataset shipped once per
-fit.  This module makes the fleet *continuously fed*:
+A fit usually ships a frozen dataset to its workers once.  This module keeps
+the fleet *continuously fed*, on the ``"tcp"`` backend (``"streaming"`` and
+``"stream"`` are aliases of it):
 
-- :class:`StreamingTCPExecutor` (registry name ``"streaming"``) keeps the
-  fault-tolerant TCP fleet of :class:`ResilientTCPExecutor` but lets the
+- :class:`~repro.distributed.resilience.ResilientTCPExecutor` lets the
   shard topology evolve while workers stay resident: ``append_rows`` routes
   new rows to the least-loaded shard and extends that worker's codes (and
   one-hot encoding) in place — no full re-ship — and ``split_shard`` re-homes
-  the tail half of a hot shard onto the least-loaded host, reusing the PR 8
-  placement machinery.  Appended rows survive worker death: the replay
+  the tail half of a hot shard onto the least-loaded host, reusing the
+  recovery placement rule.  Appended rows survive worker death: the replay
   bookkeeping is updated *before* the wire call, so a recovery handshake
   re-ships the shard including its appends.
 
@@ -41,8 +41,7 @@ changes — so re-sharding cannot perturb the numerics at all.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,18 +50,10 @@ from repro.core.mgcpl import MGCPL, online_competition_step, winning_ratio
 from repro.data.dataset import CategoricalDataset
 from repro.distributed.resilience import ResilientTCPExecutor
 from repro.distributed.runtime import _ShardedMixin
-from repro.distributed.shardcache import shard_content_key
-from repro.distributed.transport import (
-    RemoteWorkerError,
-    TransportError,
-    close_all,
-    register_backend,
-)
 from repro.engine.state import EngineState, state_from_labels
 from repro.registry import register_clusterer
 
 __all__ = [
-    "StreamingTCPExecutor",
     "StreamingCoordinator",
     "StreamingMGCPL",
 ]
@@ -122,309 +113,6 @@ def _exact_similarity(
     if omega is not None:
         s = s * omega[present, cluster]
     return s.sum() / d
-
-
-# ---------------------------------------------------------------------- #
-# The streaming executor: an elastic, append-capable resident fleet
-# ---------------------------------------------------------------------- #
-@register_backend(
-    "streaming",
-    aliases=("stream",),
-    description="Resident append-capable TCP workers with hot-shard splitting",
-    options=(
-        "hosts",
-        "placement",
-        "timeout",
-        "shard_cache",
-        "max_retries",
-        "heartbeat_interval",
-        "rebalance",
-    ),
-)
-class StreamingTCPExecutor(ResilientTCPExecutor):
-    """A :class:`ResilientTCPExecutor` whose shard topology can evolve.
-
-    Beyond the inherited fault tolerance this adds three capabilities:
-
-    ``append_rows``
-        Route a batch of new rows across the fleet (least-resident-rows
-        shard first, ties to the lowest shard index — deterministic) and
-        extend each target worker in place via the ``append`` verb.  The
-        coordinator's replay bookkeeping (shard indices, content keys,
-        tracked labels) is updated *before* the wire call, so a worker that
-        dies mid-append is recovered by a fresh handshake that ships the
-        shard *including* the new rows.
-
-    ``split_shard``
-        Re-home the tail half of a shard onto the least-loaded alive host:
-        the worker truncates in place (``split`` verb) and a new session is
-        opened for the tail rows, inheriting the live epoch when one is in
-        flight.  Used by the re-shard policy at block boundaries.
-
-    ``online_sims``
-        Inherited from the executor protocol; per-shard wall times feed the
-        same measured-throughput accumulators as batch sweeps, so the
-        rebalancer and the time-based hot-shard policy both see online
-        traffic.
-
-    Append payload bytes are tracked separately (:attr:`append_bytes_shipped`)
-    from the handshake counter ``payload_bytes_shipped``, which is what makes
-    "a warm refit ships zero shard payload bytes" a meaningful assertion.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.append_bytes_shipped = 0
-        self.split_events: List[dict] = []
-        self.shard_seconds = [0.0] * self.n_shards
-
-    # -- progress tracking ---------------------------------------------- #
-    def _record_progress(self, method: str, calls: list, results: list) -> None:
-        super()._record_progress(method, calls, results)
-        if method == "online_sims":
-            for i, transport in enumerate(self._transports):
-                elapsed = getattr(transport, "last_elapsed", None)
-                if elapsed:
-                    rows = len(calls[i][0])
-                    self._host_rows[self.placement[i]] += float(rows)
-                    self._host_seconds[self.placement[i]] += float(elapsed)
-                    self.shard_seconds[i] += float(elapsed)
-        elif method == "sweep":
-            for i, transport in enumerate(self._transports):
-                elapsed = getattr(transport, "last_elapsed", None)
-                if elapsed:
-                    self.shard_seconds[i] += float(elapsed)
-
-    # -- appends --------------------------------------------------------- #
-    def route_rows(self, n_rows: int) -> np.ndarray:
-        """Deterministic shard per new row: least resident rows, ties low."""
-        loads = [int(idx.size) for idx in self.shard_indices]
-        out = np.empty(int(n_rows), dtype=np.int64)
-        for j in range(int(n_rows)):
-            s = min(range(len(loads)), key=lambda i: (loads[i], i))
-            out[j] = s
-            loads[s] += 1
-        return out
-
-    def append_rows(self, batch: np.ndarray) -> np.ndarray:
-        """Absorb a batch into the resident fleet; returns each row's shard."""
-        batch = np.ascontiguousarray(batch, dtype=np.int64)
-        if batch.ndim != 2 or batch.shape[1] != len(self._n_categories):
-            raise ValueError(
-                f"appended batch must be 2-d with {len(self._n_categories)} "
-                f"features, got shape {batch.shape}"
-            )
-        if batch.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        start = self.n_objects
-        self._codes = np.concatenate([self._codes, batch])
-        self.n_objects = int(self._codes.shape[0])
-        shard_of = self.route_rows(batch.shape[0])
-        for s in range(self.n_shards):
-            sel = np.flatnonzero(shard_of == s)
-            if sel.size:
-                self._append_to_shard(s, start + sel)
-        return shard_of
-
-    def _append_to_shard(self, index: int, global_ids: np.ndarray) -> None:
-        rows = np.ascontiguousarray(self._codes[global_ids])
-        # Bookkeeping first: if the worker dies mid-append, recovery re-ships
-        # the shard from these (already extended) indices, so the appended
-        # rows replay for free.
-        self.shard_indices[index] = np.concatenate(
-            [self.shard_indices[index], np.asarray(global_ids, dtype=np.int64)]
-        )
-        self._refresh_content_key(index)
-        if self._shard_labels[index] is not None:
-            self._shard_labels[index] = np.concatenate(
-                [self._shard_labels[index], np.full(rows.shape[0], -1, dtype=np.int64)]
-            )
-        transport = self._transports[index]
-        try:
-            transport.submit("append", (rows,))
-            n_after = int(transport.result())
-        except RemoteWorkerError:
-            raise
-        except TransportError as exc:
-            self._reconnect_shard(index, "append", exc)
-        else:
-            if n_after != int(self.shard_indices[index].size):
-                raise TransportError(
-                    f"shard {index} reports {n_after} rows after append, "
-                    f"coordinator expects {self.shard_indices[index].size}"
-                )
-            self.append_bytes_shipped += int(rows.nbytes)
-
-    def _refresh_content_key(self, index: int) -> None:
-        key = shard_content_key(
-            self._codes[self.shard_indices[index]], self._n_categories
-        )
-        self.content_keys[index] = key
-        if self.shard_cache is not None:
-            self.shard_cache.put(
-                key, self._codes[self.shard_indices[index]], self._n_categories
-            )
-
-    def _reconnect_shard(self, index: int, method: str, error: TransportError) -> None:
-        """Re-place shard ``index`` after a failure outside a protocol call.
-
-        Unlike :meth:`_recover_shard` there is no interrupted call to finish:
-        the fresh handshake ships (or cache-restores) the shard's *current*
-        rows — appends included — and when an epoch is live its engine is
-        rebuilt from the tracked labels.  Works before any epoch too, which
-        plain recovery refuses.
-        """
-        started = time.perf_counter()
-        failed_host = self.placement[index]
-        self._mark_dead(failed_host)
-        old, self._transports[index] = self._transports[index], None
-        if old is not None:
-            self._retired_payload_bytes += old.payload_bytes_shipped
-        close_all([old])
-        last_error = error
-        attempts = 0
-        delays = list(self.retry_policy.delays(self._rng))
-        for attempt in range(self.retry_policy.max_retries + 1):
-            target = self._pick_host(exclude={failed_host})
-            if target is None:
-                break
-            if attempt > 0:
-                time.sleep(delays[attempt - 1])
-            attempts += 1
-            transport = None
-            try:
-                transport = self._connect_shard(index, target)
-                if self._n_clusters is not None:
-                    transport.submit(
-                        "begin_epoch", (self._n_clusters, self._shard_labels[index])
-                    )
-                    transport.result()
-            except RemoteWorkerError:
-                if transport is not None:
-                    close_all([transport])
-                raise
-            except TransportError as exc:
-                last_error = exc
-                if transport is not None:
-                    close_all([transport])
-                self._mark_dead(target)
-                continue
-            self._transports[index] = transport
-            self.placement[index] = target
-            self.recovery_events.append({
-                "shard": index,
-                "method": method,
-                "from_host": self.hosts[failed_host],
-                "to_host": self.hosts[target],
-                "attempts": attempts,
-                "cache_status": transport.cache_status,
-                "recovery_seconds": time.perf_counter() - started,
-            })
-            return
-        raise TransportError(
-            f"shard {index} lost its worker connection during {method!r} and "
-            f"re-placement failed after {attempts} attempt(s): {last_error}"
-        ) from last_error
-
-    # -- hot-shard splitting --------------------------------------------- #
-    def hot_shards(
-        self,
-        split_rows: Optional[int] = None,
-        split_seconds: Optional[float] = None,
-    ) -> List[int]:
-        """Shards exceeding a row-count or measured-time budget (splittable)."""
-        hot: List[int] = []
-        for i, idx in enumerate(self.shard_indices):
-            if idx.size < 2:
-                continue
-            if split_rows is not None and idx.size > int(split_rows):
-                hot.append(i)
-            elif split_seconds is not None and self.shard_seconds[i] > float(
-                split_seconds
-            ):
-                hot.append(i)
-        return hot
-
-    def split_shard(self, index: int, host: Optional[int] = None) -> int:
-        """Split shard ``index`` in half; returns the new (tail) shard index.
-
-        The worker keeps the first half in place; the tail rows get a fresh
-        session on ``host`` (default: the least-loaded alive host, PR 8's
-        placement rule).  When an epoch is live both halves rebuild their
-        engines from the tracked labels, so a split at a block boundary is
-        invisible to the numerics — the global counts never change.
-        """
-        idx = self.shard_indices[index]
-        if idx.size < 2:
-            raise ValueError(f"shard {index} has {idx.size} row(s); cannot split")
-        keep = int(idx.size) // 2
-        head, tail = idx[:keep].copy(), idx[keep:].copy()
-        labels = self._shard_labels[index]
-        head_labels = None if labels is None else labels[:keep].copy()
-        tail_labels = None if labels is None else labels[keep:].copy()
-
-        # Truncate the resident worker (bookkeeping first, as for appends).
-        self.shard_indices[index] = head
-        self._shard_labels[index] = head_labels
-        self._refresh_content_key(index)
-        transport = self._transports[index]
-        try:
-            transport.submit("split", (keep,))
-            transport.result()
-            if self._n_clusters is not None:
-                # The worker dropped its engine with the tail rows; rebuild
-                # it over the kept half so in-flight epochs keep working.
-                transport.submit("begin_epoch", (self._n_clusters, head_labels))
-                transport.result()
-        except RemoteWorkerError:
-            raise
-        except TransportError as exc:
-            self._reconnect_shard(index, "split", exc)
-
-        # Home the tail on a fresh session.
-        new_index = self.n_shards
-        self.shard_indices.append(tail)
-        self._shard_labels.append(tail_labels)
-        self.shard_seconds[index] = 0.0
-        self.shard_seconds.append(0.0)
-        self.content_keys.append(
-            shard_content_key(self._codes[tail], self._n_categories)
-        )
-        if self.shard_cache is not None:
-            self.shard_cache.put(
-                self.content_keys[new_index], self._codes[tail], self._n_categories
-            )
-        target = host if host is not None else self._pick_host(exclude=set())
-        if target is None:
-            raise TransportError("no alive host can take the split shard")
-        self.placement.append(int(target))
-        self._transports.append(None)
-        try:
-            new_transport = self._connect_shard(new_index, int(target))
-            if self._n_clusters is not None:
-                new_transport.submit("begin_epoch", (self._n_clusters, tail_labels))
-                new_transport.result()
-        except TransportError as exc:
-            self._transports[new_index] = None
-            self._reconnect_shard(new_index, "split", exc)
-        else:
-            self._transports[new_index] = new_transport
-        self.split_events.append({
-            "shard": index,
-            "new_shard": new_index,
-            "rows_kept": int(head.size),
-            "rows_moved": int(tail.size),
-            "to_host": self.hosts[int(self.placement[new_index])],
-        })
-        return new_index
-
-    # -- observability ---------------------------------------------------- #
-    def transport_stats(self) -> dict:
-        stats = super().transport_stats()
-        stats["append_bytes_shipped"] = int(self.append_bytes_shipped)
-        stats["n_shards"] = self.n_shards
-        stats["splits"] = len(self.split_events)
-        return stats
 
 
 # ---------------------------------------------------------------------- #
@@ -650,7 +338,7 @@ class StreamingMGCPL(_ShardedMixin, MGCPL):
 
     Parameters beyond MGCPL's: ``n_shards``/``backend``/``hosts``/
     ``backend_options`` as in ``ShardedMGCPL`` (default backend
-    ``"streaming"``), ``block_rows`` (mini-batch size of the online mode),
+    ``"tcp"``), ``block_rows`` (mini-batch size of the online mode),
     and the hot-shard policy ``split_rows``/``split_seconds`` (both off by
     default; splits never change results, only block latency).
     """
@@ -660,7 +348,7 @@ class StreamingMGCPL(_ShardedMixin, MGCPL):
     def __init__(
         self,
         n_shards=None,
-        backend: str = "streaming",
+        backend: str = "tcp",
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
         block_rows: int = 256,
@@ -687,7 +375,7 @@ class StreamingMGCPL(_ShardedMixin, MGCPL):
             raise ValueError("block_rows must be >= 1")
         self.split_rows = split_rows
         self.split_seconds = split_seconds
-        self._resident_executor: Optional[StreamingTCPExecutor] = None
+        self._resident_executor: Optional[ResilientTCPExecutor] = None
 
     # -- residency -------------------------------------------------------- #
     def _make_executor(self, codes: np.ndarray, n_categories):

@@ -19,26 +19,26 @@ implicit protocol into a formal API, mirroring the clusterer registry of
   before any result is awaited, so shard steps genuinely overlap regardless
   of whether the transport is a process pool or a TCP socket.
 * :func:`register_backend` / :func:`make_executor` form the backend registry.
-  ``make_executor("serial" | "process" | "tcp", ...)`` is the only
-  construction path for backends — estimators never branch on backend names.
+  ``make_executor("serial" | "shm" | "tcp", ...)`` is the only construction
+  path for backends — estimators never branch on backend names.
 
-Backends shipped with the library:
+Backends shipped with the library, one per job — in-process reference, one
+host, many hosts:
 
 ============  ===================================================  =========
 name          executor                                             options
 ============  ===================================================  =========
 ``serial``    :class:`repro.core.sync.InProcessShardExecutor`     —
-``process``   one worker process per shard                         ``mp_context``
-              (:mod:`repro.distributed.runtime`)
 ``shm``       zero-copy shared-memory segment + resident worker    ``mp_context``
-              pools (:mod:`repro.distributed.shm`)
+              pools (:mod:`repro.distributed.shm`); aliases
+              ``process``, ``multiprocess``, ``processes``
 ``tcp``       one socket per shard to ``repro worker`` hosts,      ``hosts``,
-              with retry-reconnect, shard re-placement and a       ``placement``,
-              content-addressed shard cache                        ``timeout``,
-              (:mod:`repro.distributed.rpc` +                      ``shard_cache``,
-              :mod:`repro.distributed.resilience`)                 ``max_retries``,
-                                                                   ``heartbeat_interval``,
-                                                                   ``rebalance``
+              with retry-reconnect, shard re-placement, a          ``placement``,
+              content-addressed shard cache, and resident          ``timeout``,
+              appends and hot-shard splits for streaming           ``shard_cache``,
+              (:mod:`repro.distributed.rpc` +                      ``max_retries``,
+              :mod:`repro.distributed.resilience`); aliases        ``heartbeat_interval``,
+              ``streaming``, ``stream``                            ``rebalance``
 ============  ===================================================  =========
 
 Transport failures (a worker process dying, a socket closing mid-sweep)
@@ -140,7 +140,7 @@ def default_n_shards(requested: Optional[int] = None) -> int:
 
 
 #: Cap on the *default* shard count (explicit requests may exceed it; the
-#: process backend applies its own spawn limit).
+#: shm backend applies its own spawn limit).
 MAX_DEFAULT_SHARDS = 64
 
 
@@ -354,9 +354,7 @@ class BackendSpec:
 def _populate_backends() -> None:
     """Import the modules whose definitions carry the registration decorators."""
     import repro.distributed.resilience  # noqa: F401  (registers "tcp")
-    import repro.distributed.runtime  # noqa: F401  (registers "process")
     import repro.distributed.shm  # noqa: F401  (registers "shm")
-    import repro.distributed.streaming  # noqa: F401  (registers "streaming")
 
 
 _BACKENDS = NamedRegistry("executor backend", populate=_populate_backends)
@@ -421,8 +419,8 @@ def make_executor(
     Parameters
     ----------
     backend:
-        Registered backend name (``"serial"``, ``"process"``, ``"tcp"``, or
-        any plugin registered with :func:`register_backend`).
+        Registered backend name (``"serial"``, ``"shm"``, ``"tcp"``, an
+        alias of one, or any plugin registered with :func:`register_backend`).
     codes:
         ``(n, d)`` integer-coded data matrix.
     n_categories:
@@ -434,7 +432,7 @@ def make_executor(
     engine:
         Frequency-engine backend built inside each shard worker.
     options:
-        Backend-specific keyword options (``mp_context`` for ``process``;
+        Backend-specific keyword options (``mp_context`` for ``shm``;
         ``hosts``, ``placement``, ``timeout`` for ``tcp``), validated against
         the backend's declared option names.
     """

@@ -117,7 +117,7 @@ class TestBackendCLI:
             main(["fit", "Vot", "--method", "mcdc@sharded", "--backend", "serial",
                   "--workers", "127.0.0.1:9001", "--out", str(tmp_path / "x.npz")])
         with pytest.raises(SystemExit, match="does not take --workers"):
-            main(["run", "table3", "--datasets", "Vot", "--backend", "process",
+            main(["run", "table3", "--datasets", "Vot", "--backend", "shm",
                   "--workers", "127.0.0.1:9001"])
 
     def test_backend_on_non_sharded_method_explains(self, tmp_path):
@@ -208,12 +208,12 @@ class TestBackendCLI:
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import route_through_backend
 
-        config = ExperimentConfig(backend="process", hosts=())
+        config = ExperimentConfig(backend="shm", hosts=())
         assert route_through_backend("MCDC", config) == (
-            "mcdc@sharded", {"backend": "process"}
+            "mcdc@sharded", {"backend": "shm"}
         )
         assert route_through_backend("MCDC+G.", config) == (
-            "mcdc+gudmm", {"backend": "process"}
+            "mcdc+gudmm", {"backend": "shm"}
         )
         # no backend configured -> canonical name, no extras
         assert route_through_backend("MCDC", None) == ("mcdc", {})
@@ -260,7 +260,7 @@ class TestServingCLI:
         assert "mcdc" in out and "kmodes" in out and "mcdc@sharded" in out
         # the executor backends are listed too
         assert "executor backends" in out
-        assert "serial" in out and "process" in out and "tcp" in out
+        assert "serial" in out and "shm" in out and "tcp" in out
 
     def test_fit_then_predict_uci(self, tmp_path, capsys):
         model_path = tmp_path / "vot.npz"

@@ -109,10 +109,10 @@ class TestShardedMGCPL:
         assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.95
         assert abs(sharded.result_.final_k - serial.result_.final_k) <= 1
 
-    def test_process_backend_matches_serial(self, small_clusters):
+    def test_shm_backend_matches_serial(self, small_clusters):
         serial = MGCPL(random_state=1).fit(small_clusters)
         sharded = ShardedMGCPL(
-            n_shards=2, backend="process", random_state=1
+            n_shards=2, backend="shm", random_state=1
         ).fit(small_clusters)
         assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.99
 
@@ -153,9 +153,9 @@ class TestShardedMCDC:
         assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.95
         assert sharded.kappa_ == serial.kappa_
 
-    def test_process_backend_pipeline(self, tiny_clusters):
+    def test_shm_backend_pipeline(self, tiny_clusters):
         sharded = ShardedMCDC(
-            n_clusters=2, n_shards=2, backend="process", n_init=2, random_state=0
+            n_clusters=2, n_shards=2, backend="shm", n_init=2, random_state=0
         ).fit(tiny_clusters)
         assert adjusted_rand_index(tiny_clusters.labels, sharded.labels_) >= 0.8
 
@@ -184,10 +184,10 @@ class TestShardedCoordinator:
         expected = np.argmin(full.hamming_distances(modes, theta), axis=1)
         np.testing.assert_array_equal(labels, expected)
 
-    def test_process_backend_round_trip(self, tiny_clusters):
+    def test_shm_backend_round_trip(self, tiny_clusters):
         codes, cats = tiny_clusters.codes, list(tiny_clusters.n_categories)
         labels = np.zeros(codes.shape[0], dtype=np.int64)
-        with make_executor("process", codes, cats, shards=2) as coordinator:
+        with make_executor("shm", codes, cats, shards=2) as coordinator:
             state = coordinator.begin_epoch(2, labels)
         full = make_engine(codes, cats, 2, labels=labels).snapshot()
         np.testing.assert_array_equal(state.packed, full.packed)

@@ -9,7 +9,7 @@ Three properties matter beyond producing the right numbers:
   resident worker pools hold no mapping afterwards, so ``/dev/shm`` is
   clean after every fit.
 * **No leaks on crashes** — if the coordinator process dies without calling
-  ``close()`` (SIGKILL, no atexit), the segment is still reclaimed within a
+  ``close()`` (SIGKILL, no exit hook), the segment is still reclaimed within a
   few seconds by the worker watchdog / resource-tracker safety net.
 """
 
@@ -20,7 +20,9 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.distributed.transport import (
     get_backend_spec,
     make_executor,
 )
+from repro.experiments.runner import map_trials
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -78,6 +81,15 @@ def test_backend_registered():
     spec = get_backend_spec("sharedmem")
     assert spec.name == "shm"
     assert "mp_context" in spec.options
+
+
+def test_process_alias_fits_on_shm(dataset):
+    """Saved configs and calls naming the folded ``process`` backend run on shm."""
+    model = ShardedMGCPL(
+        k0=4, n_shards=2, backend="process", random_state=0, max_epochs=1
+    ).fit(dataset)
+    assert isinstance(model.last_executor_, shm.ShmExecutor)
+    assert ShardedMGCPL().backend == "shm"
 
 
 def test_sweep_matches_serial(dataset):
@@ -200,6 +212,100 @@ def test_worker_death_raises_transport_error(dataset):
     assert not segment_exists(name)
 
 
+def test_idle_worker_death_does_not_fail_the_next_fit(dataset):
+    """A worker SIGKILLed while its pool sits on the free list is skipped.
+
+    The next executor must not pick the broken pool up (its attach would
+    fail with ``TransportError``); it shuts it down and spawns a fresh one.
+    """
+    shm.shutdown()
+    codes, cats = dataset.codes, dataset.n_categories
+    with make_executor("shm", codes, cats, shards=2) as executor:
+        want = executor.begin_epoch(3, None)
+    pool = next(iter(shm._FREE_POOLS.values()))[0]
+    (worker,) = pool._processes.values()
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(timeout=10)  # dead and reaped, by us or the pool's manager
+    with make_executor("shm", codes, cats, shards=2) as executor:
+        got = executor.begin_epoch(3, None)
+        assert all(t._pool is not pool for t in executor._transports)
+    assert np.array_equal(want.packed, got.packed)
+    assert shm.resident_pool_size() == 2
+    shm.shutdown()
+
+
+def test_partial_construction_cleans_up(monkeypatch, dataset):
+    """A transport failing mid-construction closes the earlier transports
+    and unlinks the segment before the error propagates."""
+    created, closed, segments = [], [], []
+    real_transport, real_segment = shm.ShmTransport, shm._Segment
+    original_close = real_transport.close
+
+    class Flaky(real_transport):
+        def __init__(self, *args, **kwargs):
+            if created:
+                raise OSError("no more processes")
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    class Recorded(real_segment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            segments.append(self.name)
+
+    def tracking_close(self):
+        closed.append(self)
+        original_close(self)
+
+    monkeypatch.setattr(real_transport, "close", tracking_close)
+    monkeypatch.setattr(shm, "ShmTransport", Flaky)
+    monkeypatch.setattr(shm, "_Segment", Recorded)
+    with pytest.raises(OSError, match="no more processes"):
+        make_executor("shm", dataset.codes, dataset.n_categories, shards=2)
+    assert len(created) == 1
+    assert created[0] in closed
+    assert len(segments) == 1
+    assert not segment_exists(segments[0])
+
+
+def test_segment_larger_than_free_shm_space_is_refused(monkeypatch, dataset):
+    """A full ``/dev/shm`` raises a clear error instead of a SIGBUS on write."""
+    before = shm.resident_pool_size()
+    monkeypatch.setattr(
+        shm.os, "statvfs", lambda path: SimpleNamespace(f_bavail=1, f_frsize=4096)
+    )
+    with pytest.raises(TransportError, match=r"4096 bytes free.*backend='serial'"):
+        make_executor("shm", dataset.codes, dataset.n_categories, shards=2)
+    assert shm.resident_pool_size() == before
+    assert not shm._LIVE_SEGMENTS
+
+
+def _sharded_fit_labels(seed: int, dataset: CategoricalDataset, backend: str):
+    return ShardedMGCPL(
+        k0=4, n_shards=2, backend=backend, random_state=seed, max_epochs=2
+    ).fit(dataset).labels_
+
+
+@pytest.mark.timeout(120)
+def test_sharded_fits_inside_trial_workers_return(dataset):
+    """``map_trials(n_jobs=2)`` over shm fits returns, with serial's labels.
+
+    Each trial worker keeps resident pools of its own.  They must be shut
+    down when the worker exits, before it joins its children, or the exit
+    blocks forever.  The fit here in the parent first leaves resident pools
+    and the exit hook behind, which the forked workers must not take as
+    their own.
+    """
+    _sharded_fit_labels(0, dataset, "shm")
+    assert shm.resident_pool_size() >= 2
+    got = map_trials(
+        partial(_sharded_fit_labels, dataset=dataset, backend="process"), [1, 2], n_jobs=2
+    )
+    want = [_sharded_fit_labels(seed, dataset, "serial") for seed in (1, 2)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_too_many_shards_rejected(dataset):
     with pytest.raises(ValueError, match="resident worker pools"):
         make_executor(
@@ -218,7 +324,7 @@ def test_unknown_option_rejected(dataset):
 def test_coordinator_crash_reclaims_segment():
     """SIGKILL the coordinator mid-fit: the segment must still disappear.
 
-    The coordinator never runs ``close()`` or its atexit hook.  Reclamation
+    The coordinator never runs ``close()`` or its exit hook.  Reclamation
     comes from the worker watchdog (orphaned workers unlink and exit) backed
     by the coordinator's resource tracker.
     """

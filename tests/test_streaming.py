@@ -24,14 +24,15 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from repro.core.mgcpl import MGCPL
-from repro.core.sync import InProcessShardExecutor, ShardWorker
+from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
+from repro.core.sync import InProcessShardExecutor, ShardWorker, SweepBroadcast
 from repro.data import make_drift_stream
 from repro.data.generators import make_categorical_clusters
 from repro.data.dataset import CategoricalDataset
 from repro.distributed import StreamingMGCPL, parse_byte_size, shard_content_key
 from repro.distributed.rpc import WorkerServer, local_worker_pool
 from repro.distributed.shardcache import CACHE_MAX_ENV, ShardCache
+from repro.distributed.transport import make_executor
 from repro.distributed.streaming import _exact_similarity, _pack_offsets
 from repro.engine import make_engine
 from repro.engine.packed import PackedFrequencyEngine
@@ -345,6 +346,44 @@ class TestWarmRefit:
                 1, max(sizes_before) - min(sizes_before)
             )
             assert shard_of.shape == (4,)
+
+    def test_plain_tcp_executor_takes_appends_and_splits(
+        self, stream_dataset, tcp_hosts
+    ):
+        """The streaming verbs live on the plain ``"tcp"`` backend: after an
+        append and a split, a sweep is bit-identical to the serial executor
+        over the same rows and shard layout."""
+        rng = np.random.default_rng(3)
+        batch = rng.integers(0, 3, size=(37, 6)).astype(np.int64)
+        codes, cats = stream_dataset.codes, list(stream_dataset.n_categories)
+        everything = np.concatenate([codes, batch])
+        k, d = 4, codes.shape[1]
+        labels = rng.integers(0, k, size=everything.shape[0]).astype(np.int64)
+
+        def begin_and_sweep(executor):
+            state = executor.begin_epoch(k, labels)
+            return executor.sweep(SweepBroadcast(
+                state=state,
+                u=cluster_weight_from_delta(np.ones(k)),
+                rho=winning_ratio(np.zeros(k)),
+                omega=np.full((d, k), 1.0 / d),
+                blocked=(state.sizes <= 0),
+            ))
+
+        with make_executor("tcp", codes, cats, shards=2, hosts=tcp_hosts) as tcp:
+            tcp.append_rows(batch)
+            assert tcp.split_shard(0) == 2
+            layout = [idx.copy() for idx in tcp.shard_indices]
+            got = begin_and_sweep(tcp)
+            stats = tcp.transport_stats()
+        assert stats["append_bytes_shipped"] == batch.nbytes
+        assert stats["splits"] == 1 and stats["n_shards"] == 3
+        with make_executor("serial", everything, cats, shards=layout) as serial:
+            want = begin_and_sweep(serial)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.state.packed, want.state.packed)
+        np.testing.assert_array_equal(got.win_counts, want.win_counts)
+        np.testing.assert_array_equal(got.win_sim_total, want.win_sim_total)
 
     def test_refit_without_fit_raises(self):
         est = StreamingMGCPL(hosts=["127.0.0.1:1"])

@@ -36,7 +36,6 @@ from repro.distributed import (
     make_node_pool,
 )
 from repro.distributed import rpc
-from repro.distributed import runtime
 from repro.distributed.transport import (
     ShardExecutor,
     get_backend_spec,
@@ -58,8 +57,13 @@ def tcp_hosts():
 # ---------------------------------------------------------------------- #
 class TestBackendRegistry:
     def test_shipped_backends_are_registered(self):
-        names = available_backends()
-        assert {"serial", "process", "tcp"} <= set(names)
+        # One backend per job: in-process reference, one host, many hosts.
+        # The folded names stay usable as aliases of their survivors.
+        assert available_backends() == ["serial", "shm", "tcp"]
+        for alias in ("process", "multiprocess", "processes"):
+            assert resolve_backend(alias) == "shm"
+        for alias in ("streaming", "stream"):
+            assert resolve_backend(alias) == "tcp"
 
     def test_aliases_resolve(self):
         assert resolve_backend("in-process") == "serial"
@@ -311,40 +315,6 @@ class TestFailurePaths:
         executor.close()  # idempotent
         with pytest.raises(TransportError, match="closed"):
             executor.begin_epoch(2, None)
-
-    def test_process_pool_partial_construction_cleans_up(self, monkeypatch, tiny_clusters):
-        """If a later shard's pool fails to start, earlier pools are shut down."""
-        created, closed = [], []
-        real = runtime.ProcessTransport
-        original_close = real.close
-
-        class Flaky(real):
-            def __init__(self, *args, **kwargs):
-                if created:
-                    raise OSError("no more processes")
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        def tracking_close(self):
-            closed.append(self)
-            original_close(self)
-
-        monkeypatch.setattr(real, "close", tracking_close)
-        monkeypatch.setattr(runtime, "ProcessTransport", Flaky)
-        with pytest.raises(OSError, match="no more processes"):
-            make_executor(
-                "process", tiny_clusters.codes, tiny_clusters.n_categories, shards=2
-            )
-        assert len(created) == 1
-        assert created[0] in closed
-
-    def test_process_shard_cap_enforced_before_spawning(self, small_clusters):
-        indices = [np.array([i]) for i in range(small_clusters.n_objects)]
-        with pytest.raises(ValueError, match="worker"):
-            make_executor(
-                "process", small_clusters.codes, small_clusters.n_categories,
-                shards=indices,
-            )
 
 
 # ---------------------------------------------------------------------- #
