@@ -17,6 +17,8 @@ outcomes, which is asserted on every run.  The one armed assertion is
 resident (warm) worker pools must beat a fit that first spawns its pools
 (cold, right after ``shm.shutdown()``) — the spawn cost the resident design
 exists to amortise; both numbers land in ``BENCH_transport.json``.
+``test_shm_vs_serial_per_sweep`` records, unarmed, the same one-sweep fit on
+``serial`` against warm ``shm`` (BLAS threads split among the shm workers).
 """
 
 from __future__ import annotations
@@ -126,32 +128,44 @@ def test_transport_sweep_throughput(benchmark):
 PERFIT_N, PERFIT_D, PERFIT_K, PERFIT_SHARDS = 50_000, 24, 32, 4
 
 
-def test_shm_warm_fit_beats_cold_fit(benchmark):
-    """Fits on resident shm pools must beat fits that spawn them, at n=50k."""
+@pytest.fixture(scope="module")
+def perfit_problem():
+    """``(codes, n_categories, labels, omega)`` of the n=50k per-fit benches."""
     ds = make_categorical_clusters(
         n_objects=PERFIT_N, n_features=PERFIT_D, n_clusters=8, n_categories=6,
         purity=0.75, random_state=17, name="perfit",
     )
-    codes, cats = ds.codes, list(ds.n_categories)
     rng = np.random.default_rng(0)
     labels = rng.integers(0, PERFIT_K, size=PERFIT_N).astype(np.int64)
     omega = np.full((PERFIT_D, PERFIT_K), 1.0 / PERFIT_D)
+    return ds.codes, list(ds.n_categories), labels, omega
+
+
+def _one_sweep_fit(backend, codes, cats, labels, omega):
+    """One short fit: construct, begin epoch, one sweep, tear down.
+
+    Returns ``(seconds, outcome)``.
+    """
+    start = time.perf_counter()
+    with make_executor(backend, codes, cats, shards=PERFIT_SHARDS) as executor:
+        state = executor.begin_epoch(PERFIT_K, labels)
+        outcome = executor.sweep(
+            SweepBroadcast(
+                state=state,
+                u=cluster_weight_from_delta(np.ones(PERFIT_K)),
+                rho=winning_ratio(np.zeros(PERFIT_K)),
+                omega=omega,
+                blocked=(state.sizes <= 0),
+            )
+        )
+    return time.perf_counter() - start, outcome
+
+
+def test_shm_warm_fit_beats_cold_fit(benchmark, perfit_problem):
+    """Fits on resident shm pools must beat fits that spawn them, at n=50k."""
 
     def one_fit():
-        """One short fit: construct, begin epoch, one sweep, tear down."""
-        start = time.perf_counter()
-        with make_executor("shm", codes, cats, shards=PERFIT_SHARDS) as executor:
-            state = executor.begin_epoch(PERFIT_K, labels)
-            executor.sweep(
-                SweepBroadcast(
-                    state=state,
-                    u=cluster_weight_from_delta(np.ones(PERFIT_K)),
-                    rho=winning_ratio(np.zeros(PERFIT_K)),
-                    omega=omega,
-                    blocked=(state.sizes <= 0),
-                )
-            )
-        return time.perf_counter() - start
+        return _one_sweep_fit("shm", *perfit_problem)[0]
 
     def cold_fit():
         """A fit that must spawn its worker pools first."""
@@ -187,6 +201,48 @@ def test_shm_warm_fit_beats_cold_fit(benchmark):
         f"a fit on resident shm pools must beat one that spawns them at "
         f"n={PERFIT_N}: warm {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s"
     )
+
+
+def test_shm_vs_serial_per_sweep(benchmark, perfit_problem):
+    """Record-only: one-sweep fits on ``serial`` vs warm ``shm`` at n=50k.
+
+    No speed ratio is armed — whether the BLAS-pinned shm workers beat
+    the in-process serial sweep depends on the host's cores — but both
+    backends must produce bit-identical outcomes.
+    """
+    _one_sweep_fit("shm", *perfit_problem)  # warm-up: spawns the resident pools
+    runs = {
+        backend: [_one_sweep_fit(backend, *perfit_problem) for _ in range(3)]
+        for backend in ("serial", "shm")
+    }
+    seconds = {backend: min(t for t, _ in fits) for backend, fits in runs.items()}
+    reference = runs["serial"][0][1]
+    for _, outcome in runs["shm"]:
+        np.testing.assert_array_equal(outcome.labels, reference.labels)
+        np.testing.assert_array_equal(outcome.state.packed, reference.state.packed)
+        np.testing.assert_array_equal(outcome.win_counts, reference.win_counts)
+
+    benchmark.pedantic(
+        _one_sweep_fit, args=("shm", *perfit_problem), iterations=1, rounds=1
+    )
+    speedup = seconds["serial"] / seconds["shm"]
+    benchmark.extra_info["serial_seconds"] = seconds["serial"]
+    benchmark.extra_info["shm_seconds"] = seconds["shm"]
+    benchmark.extra_info["speedup"] = speedup
+    reporting.record(
+        "transport",
+        "shm_vs_serial_per_sweep",
+        n=PERFIT_N,
+        d=PERFIT_D,
+        k=PERFIT_K,
+        wall_seconds=seconds["shm"],
+        throughput=PERFIT_N / seconds["shm"],
+        speedup=speedup,
+        baseline="serial",
+        baseline_seconds=seconds["serial"],
+        n_shards=PERFIT_SHARDS,
+    )
+    shm.shutdown()
 
 
 def test_tcp_worker_recovery_time(benchmark):

@@ -23,7 +23,8 @@ Three families of commands:
   ``repro predict --server HOST:PORT`` is the matching client path.
 * ``repro worker`` — host shards for the multi-host TCP backend: a
   long-lived server that receives its shard once per coordinator session and
-  then exchanges only count statistics (:mod:`repro.distributed.rpc`).
+  then exchanges only count statistics (:mod:`repro.distributed.rpc`).  It
+  runs OpenBLAS on one thread, so start one worker per core.
 * ``repro methods`` — list every registered clusterer (and executor backend)
   and its aliases.
 
@@ -225,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     worker = subparsers.add_parser(
-        "worker", help="host shards for the multi-host TCP backend"
+        "worker", help="host shards for the multi-host TCP backend; each worker "
+        "runs one BLAS thread (OPENBLAS_NUM_THREADS in its environment "
+        "overrides), so start one worker per core"
     )
     worker.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -701,6 +704,7 @@ def _route(args: argparse.Namespace) -> int:
 
 def _worker(args: argparse.Namespace) -> int:
     from repro.distributed.rpc import WorkerServer, parse_address
+    from repro.utils.blas import limit_blas_threads
 
     try:
         host, port = parse_address(args.listen)
@@ -716,6 +720,8 @@ def _worker(args: argparse.Namespace) -> int:
     # The resolved address (port 0 -> ephemeral) goes out first and flushed,
     # so launchers can scrape it and build their --workers list.
     print(f"repro worker listening on {server.address}", flush=True)
+    # Workers share the host's cores: parallelism comes from their number.
+    limit_blas_threads()
     server.serve_forever()
     return 0
 

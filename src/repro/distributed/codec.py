@@ -527,8 +527,11 @@ class ThreadedFrameServer:
         # a socket does not reliably wake another thread's blocked accept()
         # (shutdown would stall), and with ``once`` the exit condition (all
         # accepted sessions finished) must be evaluated between accepts.
-        self._sock.settimeout(0.2)
         try:
+            try:
+                self._sock.settimeout(0.2)
+            except OSError:  # shutdown() already closed the listener
+                self._closing.set()
             while not self._closing.is_set():
                 try:
                     conn, _ = self._sock.accept()

@@ -16,6 +16,10 @@ a copy and a full pool spawn per fit; this backend removes both costs:
   trial — skip the pool spawn entirely.  ``shutdown()`` reclaims the idle
   pools when a test (or an interpreter that dislikes stray children) wants a
   clean slate.
+* Each worker runs OpenBLAS on an even share of the host's cores
+  (:func:`repro.utils.blas.threads_per_process`, set on attach): one thread
+  each with one shard per core, so parallelism comes from the number of
+  shards, not from BLAS threads fighting over the same cores.
 
 Segment lifecycle is belt-and-braces:
 
@@ -68,6 +72,7 @@ from repro.distributed.transport import (
     close_all,
     register_backend,
 )
+from repro.utils.blas import limit_blas_threads, threads_per_process
 
 #: Hard cap on worker processes: one resident pool per shard, so a mistaken
 #: shard spec (e.g. an assignment vector with one object per shard) must not
@@ -161,9 +166,12 @@ def _shm_call(method: str, *args):
     """Dispatch one coordinator request inside the worker process."""
     global _WORKER, _SEGMENT
     if method == "attach":
-        name, start, stop, d, n_categories, engine_kind = args
+        name, start, stop, d, n_categories, engine_kind, blas_threads = args
         _ensure_watchdog()
         _worker_detach()
+        # Re-pinned on every attach: a resident pool outlives the executor
+        # (and the shard count) it was started for.
+        limit_blas_threads(blas_threads)
         # Attach without resource-tracker registration: this process only
         # borrows a mapping.  Registering here (as 3.10-3.12 attach does
         # unconditionally) would either unlink the segment when this worker
@@ -432,10 +440,12 @@ class ShmExecutor(TransportExecutor):
             del view  # release the exported buffer before any unlink
             for _ in shard_indices:
                 transports.append(ShmTransport(mp_context))
+            blas_threads = threads_per_process(len(shard_indices))
             for transport, start, stop in zip(transports, starts, stops):
                 transport.submit(
                     "attach",
-                    (segment.name, int(start), int(stop), d, list(n_categories), engine),
+                    (segment.name, int(start), int(stop), d, list(n_categories),
+                     engine, blas_threads),
                 )
             # Force every attach now: a worker that cannot map the segment
             # must fail the constructor, not the first sweep.

@@ -41,6 +41,12 @@ name          executor                                             options
               ``streaming``, ``stream``                            ``rebalance``
 ============  ===================================================  =========
 
+``shm`` pool workers run OpenBLAS on ``cores // n_shards`` threads each and
+``repro worker`` processes on one (:mod:`repro.utils.blas`; an operator-set
+``OPENBLAS_NUM_THREADS`` wins), so parallelism comes from the number of
+shards: place one shard per core.  ``serial`` runs in the caller's process
+and keeps every BLAS thread.  The thread count never changes a result bit.
+
 Transport failures (a worker process dying, a socket closing mid-sweep)
 surface as :class:`TransportError` rather than hangs or bare OS errors.
 """

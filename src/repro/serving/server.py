@@ -95,7 +95,6 @@ from __future__ import annotations
 import os
 import queue
 import socket
-import sys
 import tempfile
 import threading
 import time
@@ -130,8 +129,11 @@ from repro.serving.protocol import (
     hello_body,
     request_tag,
 )
+from repro.utils.log import get_logger
 
 __all__ = ["ReadWriteLock", "WriteAheadLog", "ModelServer", "serve_model"]
+
+_logger = get_logger(__name__)
 
 #: ``--wal-sync`` policies, weakest durability last (see module docs).
 WAL_SYNC_POLICIES = ("always", "batch", "none")
@@ -551,8 +553,8 @@ class ModelServer(ThreadedFrameServer):
         ingest batch, while the write lock is still held — the hook that
         forwards served writes into a streaming runtime (e.g.
         ``StreamingMGCPL.ingest`` appending the rows to resident shard
-        workers).  Best-effort: a raising hook is reported to stderr and the
-        ingest still succeeds.
+        workers).  Best-effort: a raising hook is logged as a warning on
+        ``repro.serving.server`` and the ingest still succeeds.
     once:
         Exit ``serve_forever`` when every session accepted so far has
         finished (single-client demos and tests).
@@ -751,10 +753,9 @@ class ModelServer(ThreadedFrameServer):
             applied += 1
             objects += int(arrays["labels"].shape[0])
         if torn_bytes:
-            print(
-                f"repro serve: dropped a torn {torn_bytes}-byte WAL tail "
-                "(that record was never acknowledged)",
-                file=sys.stderr,
+            _logger.warning(
+                "dropped a torn %d-byte WAL tail (that record was never "
+                "acknowledged)", torn_bytes,
             )
         wal = WriteAheadLog(path, self.wal_sync)
         if torn_bytes:
@@ -837,7 +838,7 @@ class ModelServer(ThreadedFrameServer):
                     self._write_snapshot()
             except Exception as exc:  # noqa: BLE001 - drain must complete
                 self.snapshot_failures += 1
-                print(f"repro serve: final snapshot failed: {exc}", file=sys.stderr)
+                _logger.warning("final snapshot failed: %s", exc)
         if self._wal is not None:
             # After the drain snapshot the log is rotated (empty); if that
             # snapshot failed, the records stay behind for the next start
@@ -853,7 +854,7 @@ class ModelServer(ThreadedFrameServer):
                         self._write_snapshot()
             except Exception as exc:  # noqa: BLE001 - keep the timer alive
                 self.snapshot_failures += 1
-                print(f"repro serve: periodic snapshot failed: {exc}", file=sys.stderr)
+                _logger.warning("periodic snapshot failed: %s", exc)
 
     # ------------------------------------------------------------------ #
     # Sessions
@@ -1004,10 +1005,7 @@ class ModelServer(ThreadedFrameServer):
                     try:
                         self.on_ingest(codes, labels)
                     except Exception as exc:  # noqa: BLE001 - best-effort hook
-                        print(
-                            f"repro serve: on_ingest hook failed: {exc}",
-                            file=sys.stderr,
-                        )
+                        _logger.warning("on_ingest hook failed: %s", exc)
                 snapshot_taken = False
                 if (
                     self.snapshot_every
@@ -1024,10 +1022,9 @@ class ModelServer(ThreadedFrameServer):
                         snapshot_taken = True
                     except Exception as exc:  # noqa: BLE001 - acked anyway
                         self.snapshot_failures += 1
-                        print(
-                            f"repro serve: post-ingest snapshot failed (the "
-                            f"batch was applied and is acknowledged): {exc}",
-                            file=sys.stderr,
+                        _logger.warning(
+                            "post-ingest snapshot failed (the batch was "
+                            "applied and is acknowledged): %s", exc,
                         )
             return pack_message(
                 "labels",

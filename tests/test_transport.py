@@ -316,6 +316,21 @@ class TestFailurePaths:
         with pytest.raises(TransportError, match="closed"):
             executor.begin_epoch(2, None)
 
+    def test_serve_forever_after_shutdown_returns(self):
+        # A listener shutdown() already closed means "already shut down":
+        # serve_forever returns instead of raising EBADF, and the drain hook
+        # still runs.
+        drained = []
+
+        class Worker(rpc.WorkerServer):
+            def _on_drained(self):
+                drained.append(True)
+
+        server = Worker()
+        server.shutdown()
+        server.serve_forever()
+        assert drained == [True]
+
 
 # ---------------------------------------------------------------------- #
 # Codec round trips

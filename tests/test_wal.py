@@ -16,6 +16,7 @@ must be rejected instead of silently coerced to "disabled".
 from __future__ import annotations
 
 import io
+import logging
 import os
 import re
 import signal
@@ -555,7 +556,7 @@ class TestRotation:
 # ---------------------------------------------------------------------- #
 class TestAckSemanticsOnSnapshotFailure:
     def test_failed_post_ingest_snapshot_still_acks(
-        self, vot, model_file, tmp_path, capfd
+        self, vot, model_file, tmp_path, caplog
     ):
         # An unwritable snapshot target: the path's parent is a regular
         # file, so mkdir/mkstemp under it fails deterministically (works
@@ -582,8 +583,15 @@ class TestAckSemanticsOnSnapshotFailure:
             assert_states_identical(server.model, reference)
         finally:
             server.stop(timeout=10)  # drain snapshot fails too: reported
-        err = capfd.readouterr().err
-        assert "snapshot failed" in err
+        warnings = [
+            record.getMessage() for record in caplog.records
+            if record.name == "repro.serving.server"
+            and record.levelno == logging.WARNING
+        ]
+        assert any(
+            message.startswith("post-ingest snapshot failed") for message in warnings
+        ), warnings
+        assert any(message.startswith("final snapshot failed") for message in warnings)
         assert server.snapshot_failures >= 2  # the ingest one + the drain one
 
     def test_explicit_snapshot_request_still_errors(
