@@ -12,6 +12,11 @@ Measurements pinned into the ``BENCH_engine.json`` trajectory:
   faster than the DenseEngine numpy sweep path at the same scale.  Skipped
   when numba is absent (the interpreted kernel fallback is a correctness
   oracle, not a fast path).
+* ``test_fit_local_sweep_and_reassignment`` — record-only: one dense fused
+  sweep and one stranded-member reassignment at the repository benchmark's
+  fit-local shape (n=50 000, d=12, 6 categories, k=224), median and IQR of
+  :data:`REPEATS` runs each; smoke-scaled to n=5 000 unless
+  ``REPRO_BENCH_FULL=1``.
 * ``test_onehot_cache_reuses_encoding`` — the second fit over one data set
   must re-encode nothing (the one-hot cache hits) and not get slower.
 * ``test_mgcpl_fit_wall_clock`` — a full MGCPL fit, packed vs loop backend,
@@ -40,6 +45,10 @@ FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
 SIM_N, SIM_D, SIM_K = 50_000, 20, 100
 FIT_N = 200_000 if FULL_SCALE else 4_000
+#: The repository benchmark's fit-local shape (``perfbench/run.py``).
+LOCAL_N = 50_000 if FULL_SCALE else 5_000
+LOCAL_D, LOCAL_CATS, LOCAL_K = 12, 6, 224
+REPEATS = 7
 
 
 def _sim_problem():
@@ -155,6 +164,68 @@ def test_compiled_sweep_speedup(benchmark):
         f"compiled sweep must be >= 2x faster than the DenseEngine sweep at "
         f"n={SIM_N}, d={SIM_D}, k={SIM_K}; got {speedup:.2f}x "
         f"(dense {dense_time:.3f}s vs compiled {compiled_time:.3f}s)"
+    )
+
+
+def _median_iqr(seconds):
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
+def test_fit_local_sweep_and_reassignment(benchmark):
+    """Record-only: the two per-level costs MGCPL pays at fit-local's shape.
+
+    One dense fused ``competitive_sweep`` (an epoch's k=224 sweep) and one
+    ``_reassign_dead_members`` with two thirds of the objects stranded.
+    Nothing is armed; the entry carries the median and IQR of each.
+    """
+    ds = make_categorical_clusters(
+        n_objects=LOCAL_N, n_features=LOCAL_D, n_clusters=8, n_categories=LOCAL_CATS,
+        purity=0.75, random_state=1, name="fit-local",
+    )
+    codes, cats = ds.codes, list(ds.n_categories)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, LOCAL_K, size=LOCAL_N)
+    omega = rng.random((LOCAL_D, LOCAL_K))
+    alive = rng.random(LOCAL_K) < 1 / 3
+    engine = make_engine(codes, cats, LOCAL_K, kind="dense", labels=labels)
+    u = cluster_weight_from_delta(np.ones(LOCAL_K))
+    rho = winning_ratio(np.zeros(LOCAL_K))
+    blocked = engine.sizes <= 0
+    estimator = MGCPL(engine="dense")
+
+    def sweep():
+        return engine.competitive_sweep(labels, u, rho, omega, blocked)
+
+    def reassign():
+        return estimator._reassign_dead_members(codes, cats, labels, alive, omega)
+
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    sweep(), reassign()  # warm the cached one-hot and the allocator
+    sweep_median, sweep_iqr = _median_iqr([timed(sweep) for _ in range(REPEATS)])
+    reassign_median, reassign_iqr = _median_iqr([timed(reassign) for _ in range(REPEATS)])
+    assert alive[reassign()].all()
+
+    benchmark.pedantic(sweep, iterations=1, rounds=1)
+    benchmark.extra_info["sweep_median_seconds"] = sweep_median
+    benchmark.extra_info["reassign_median_seconds"] = reassign_median
+    reporting.record(
+        "engine",
+        "fit_local_sweep_and_reassignment",
+        n=LOCAL_N,
+        d=LOCAL_D,
+        k=LOCAL_K,
+        wall_seconds=sweep_median,
+        throughput=LOCAL_N / sweep_median,
+        repeats=REPEATS,
+        sweep_iqr_seconds=sweep_iqr,
+        reassign_median_seconds=reassign_median,
+        reassign_iqr_seconds=reassign_iqr,
+        stranded=int((~alive[labels]).sum()),
     )
 
 

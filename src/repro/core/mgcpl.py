@@ -561,7 +561,9 @@ class MGCPL(BaseClusterer):
         Needed when an epoch runs out of sweeps before the partition
         re-stabilises after a starvation event; a coordinator-side engine is
         built on demand (the common converged case has nothing stranded and
-        skips the work entirely).
+        skips the work entirely).  Only the stranded rows are scored
+        (:meth:`~repro.engine.base.FrequencyEngine.nearest_clusters`), one
+        row block at a time on the packed engines.
         """
         labels = labels.copy()
         stranded = (labels < 0) | ~alive[np.clip(labels, 0, alive.size - 1)]
@@ -574,14 +576,14 @@ class MGCPL(BaseClusterer):
             kind=self.engine,
             labels=np.where(stranded, -1, labels),
         )
-        sims = table.similarity_matrix(
-            feature_weights=omega if self.use_feature_weights else None
-        )
         allowed = alive & (table.sizes > 0)
         if not allowed.any():
             allowed = alive
-        masked = np.where(allowed[None, :], sims, -np.inf)
-        labels[stranded] = masked[stranded].argmax(axis=1)
+        labels[stranded] = table.nearest_clusters(
+            np.flatnonzero(stranded),
+            allowed,
+            feature_weights=omega if self.use_feature_weights else None,
+        )
         return labels
 
     def _select_starving(

@@ -151,12 +151,17 @@ def mgcpl_sweep_local(engine, labels: np.ndarray, broadcast: SweepBroadcast) -> 
     the shard's count contribution under the new assignment.
 
     Every packed engine exposes ``competitive_sweep``: the dense and
-    chunked backends run it as one cache-blocked NumPy pass
-    (:mod:`repro.engine.packed`), the compiled backend as fused kernels
-    (:mod:`repro.engine.compiled`).  The NumPy branch below — the whole
-    similarity matrix through the same selection and statistics helpers —
-    is the :class:`~repro.engine.reference.LoopEngine` reference path; all
-    paths produce bit-identical :class:`ShardUpdate`\\ s.
+    chunked backends run it as one cache-blocked NumPy pass that never
+    holds an ``(n, k)`` array (:mod:`repro.engine.packed`), the compiled
+    backend as fused kernels (:mod:`repro.engine.compiled`).  The NumPy
+    branch below — the whole similarity matrix through the same selection
+    and statistics helpers — is the
+    :class:`~repro.engine.reference.LoopEngine` reference path.  All paths
+    produce bit-identical :class:`ShardUpdate`\\ s at any number of
+    features: the packed backends add the leave-one-out terms in the
+    loop's ascending feature order (tested at d=12 and d=16), and their
+    row blocks stay above the BLAS shape floors of
+    :func:`repro.engine.packed.sweep_rows`.
     """
     engine.restore(broadcast.state)
     fused = getattr(engine, "competitive_sweep", None)

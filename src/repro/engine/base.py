@@ -178,6 +178,25 @@ class FrequencyEngine(ABC):
     ) -> np.ndarray:
         """Similarity of every object to every cluster: shape ``(n, k)``."""
 
+    def nearest_clusters(
+        self,
+        rows,
+        allowed: np.ndarray,
+        feature_weights: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Most similar allowed cluster of each object in ``rows``: shape ``(len(rows),)``.
+
+        ``rows`` are ascending object indices and ``allowed`` is a ``(k,)``
+        mask; ties (and a row with no allowed cluster) go to the lowest
+        cluster index, as ``argmax`` over ``-inf``-masked similarities.
+        This default is the reference: it masks the whole
+        :meth:`similarity_matrix`.  The packed backends score one row block
+        at a time instead and never hold an ``(n, k)`` array.
+        """
+        sims = self.similarity_matrix(feature_weights=feature_weights)
+        masked = np.where(np.asarray(allowed, dtype=bool)[None, :], sims, -np.inf)
+        return masked[np.asarray(rows, dtype=np.int64)].argmax(axis=1)
+
     # ------------------------------------------------------------------ #
     # Feature-cluster weighting (Eqs. 15-18)
     # ------------------------------------------------------------------ #

@@ -300,6 +300,20 @@ class CompiledEngine(PackedFrequencyEngine):
             x[None, :], feature_weights=feature_weights, exclude_labels=exclude
         )[0]
 
+    def _block_scorer(self, feature_weights: Optional[np.ndarray]):
+        """Blocked scoring (``nearest_clusters``) through the loop-exact kernel."""
+        cw, w_lk, has_w = self._kernel_tables(feature_weights)
+
+        def score(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+            no_loo = np.full(stop - start, -1, dtype=np.int64)
+            _similarity_kernel(
+                self._packed_codes[start:stop], self.packed, self.valid_counts,
+                cw, w_lk, has_w, no_loo, out,
+            )
+            return out
+
+        return score
+
     # ------------------------------------------------------------------ #
     # The fused competitive sweep (MGCPL's LocalUpdate hot loop)
     # ------------------------------------------------------------------ #

@@ -13,24 +13,42 @@ ops with no Python loop over features or clusters:
   pairwise distinct, so even the single-object path needs no ``np.add.at``);
 * ``similarity_matrix`` is a one-hot encoding of the objects multiplied
   (BLAS) with the column-normalised, weight-scaled packed counts, with the
-  leave-one-out correction applied through one gather per object block;
+  leave-one-out correction read from a per-cell table (below);
 * ``competitive_sweep`` — MGCPL's batch sweep — is the same kernel fused
   with scoring and winner/rival selection, one cache-sized row block at a
-  time (see below);
+  time (see below), and ``nearest_clusters`` — MGCPL's reassignment of
+  objects stranded in eliminated clusters — scores the same row blocks;
 * the Eqs. 15-18 statistics reduce per-feature segments of the packed matrix
   with :func:`numpy.add.reduceat`.
+
+The leave-one-out correction
+----------------------------
+An object's similarity to its own cluster replaces every feature's
+``count / valid`` by ``(count - 1) / (valid - 1)``.  One ``(k, M + 1)``
+table holds that term, times ``omega``, for every cell, plus a zero column
+for missing values; an object's own-cluster similarity is then ``d`` flat
+gathers from its own row, added in ascending feature order and divided by
+``d``.  That is :class:`~repro.engine.reference.LoopEngine`'s operation
+order, so the packed backends match it bit for bit at any ``d`` (NumPy's row
+``sum`` is pairwise from eight terms up and would not).
 
 The fused sweep
 ---------------
 Scoring a whole sweep at once would write and re-read several ``(n, k)``
 float matrices (similarities, scores, the argmax passes and gathers over
 them) — at ``n = 50 000``, ``k = 224`` each is ~89 MB, far beyond L2.  The
-fused sweep runs each block of rows through similarity, the leave-one-out
-correction, scoring and selection before the next block starts, keeping
-only five per-row vectors (winners, rivals, their similarities,
-has-rival); no ``(n, k)`` array exists at any point.  The Eqs. 10-13
-statistics are then accumulated once over the full vectors in object
-order, exactly as over an unblocked sweep.
+fused sweep computes every object's leave-one-out similarity once, then
+runs each block of rows through similarity, the correction, scoring and
+selection before the next block starts.  The similarities and scores of a
+block live in two ``(rows, k)`` buffers allocated once per sweep, and only
+five per-row vectors (winners, rivals, their similarities, has-rival)
+outlive a block.  The Eqs. 10-13 statistics are then accumulated once over
+the full vectors in object order, exactly as over an unblocked sweep.
+
+MGCPL's reassignment after a granularity level (``nearest_clusters``) walks
+the same blocks with one buffer, encoding each block's one-hot afresh and
+reducing only the stranded rows, so no ``(n, k)`` array — and on
+:class:`DenseEngine` no second full one-hot — exists at any point of a fit.
 
 A block holds :data:`SWEEP_BLOCK_BYTES` of ``(rows, k)`` float64 scores, but
 never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer than
@@ -102,26 +120,32 @@ def sweep_blocks(n: int, k: int, n_values: int) -> List[Tuple[int, int]]:
 
 
 def select_winners(
-    sims: np.ndarray, t: np.ndarray, blocked: np.ndarray
+    sims: np.ndarray,
+    t: np.ndarray,
+    blocked: np.ndarray,
+    scores: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Winner/rival selection of MGCPL's competition for a block of objects.
 
     Scores are ``t_l * sim`` with ``t = (1 - rho) * u`` and ``-inf`` for
     blocked clusters; ties go to the lowest cluster index (``argmax``).
     Returns ``(winners, rivals, winner_sims, rival_sims, has_rival)``; an
-    object without a finite runner-up has ``rival_sims == 0``.
+    object without a finite runner-up has ``rival_sims == 0``.  ``scores``
+    is an optional C-contiguous buffer of the shape of ``sims`` to hold the
+    scores (the fused sweep reuses one across its blocks).
     """
-    scores = t[None, :] * sims
+    b, k = sims.shape
+    scores = np.multiply(sims, t, out=scores)
     if blocked.any():
         scores[:, blocked] = -np.inf
-    rows = np.arange(sims.shape[0])
-    winners = scores.argmax(axis=1)
-    scores[rows, winners] = -np.inf
-    rivals = scores.argmax(axis=1)
-    has_rival = np.isfinite(scores[rows, rivals])
-    winner_sims = sims[rows, winners]
-    rival_sims = np.where(has_rival, sims[rows, rivals], 0.0)
-    return winners, rivals, winner_sims, rival_sims, has_rival
+    first = np.arange(b) * k  # flat index of each row's first cell
+    at_winner = first + scores.argmax(axis=1)
+    np.put(scores, at_winner, -np.inf)
+    at_rival = first + scores.argmax(axis=1)
+    has_rival = np.isfinite(scores.take(at_rival))
+    winner_sims = sims.take(at_winner)
+    rival_sims = np.where(has_rival, sims.take(at_rival), 0.0)
+    return at_winner - first, at_rival - first, winner_sims, rival_sims, has_rival
 
 
 def competition_statistics(
@@ -390,50 +414,77 @@ class PackedFrequencyEngine(FrequencyEngine):
         onehot[rows[mask], packed_codes[mask]] = 1.0
         return onehot
 
-    def _loo_own_similarity(
-        self,
-        packed_codes: np.ndarray,
-        own: np.ndarray,
-        feature_weights: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Leave-one-out similarity of each object to its own cluster: ``(b,)``.
+    def _loo_table(self, feature_weights: Optional[np.ndarray]) -> np.ndarray:
+        """``(k, M + 1)`` table of leave-one-out own-cluster terms.
 
-        Per feature the contribution is ``(count - 1) / (valid - 1)`` when the
-        cluster has more than one non-missing value and zero otherwise — the
-        correction MGCPL applies so an object does not inflate its affiliation
-        with the cluster it is already in.
+        Cell ``(l, offsets[r] + t)`` holds ``omega_rl * (count - 1) /
+        (valid - 1)`` when cluster ``l`` has more than one non-missing value
+        of feature ``r`` and zero otherwise — the correction MGCPL applies so
+        an object does not inflate its affiliation with the cluster it is
+        already in.  The last column is zero: a missing value adds nothing.
         """
-        d = packed_codes.shape[1]
-        present = packed_codes >= 0
-        safe = np.where(present, packed_codes, 0)
-        counts_own = self.packed[own[:, None], safe]
-        valid_own = self.valid_counts[own]
+        valid = self._expand(self.valid_counts)
+        table = np.zeros((self.n_clusters, self.n_values + 1), dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
-            loo = np.where(present & (valid_own > 1), (counts_own - 1.0) / (valid_own - 1.0), 0.0)
+            table[:, :-1] = np.where(valid > 1, (self.packed - 1.0) / (valid - 1.0), 0.0)
         if feature_weights is not None:
-            loo = loo * np.asarray(feature_weights, dtype=np.float64).T[own]
-        return loo.sum(axis=1) / d
+            table[:, :-1] *= self._expand(np.asarray(feature_weights, dtype=np.float64).T)
+        return table
+
+    def _loo_cells(self, packed_codes: np.ndarray) -> np.ndarray:
+        """``(d, b)`` :meth:`_loo_table` columns of a block of packed codes.
+
+        A missing value maps to the table's zero column.  Feature-major, so
+        each feature's cells are contiguous for :meth:`_loo_own_similarity`.
+        """
+        return np.ascontiguousarray(np.where(packed_codes >= 0, packed_codes, self.n_values).T)
+
+    def _cached_loo_cells(self) -> np.ndarray:
+        """:meth:`_loo_cells` of the engine's own codes, built once per codes array."""
+        cached = getattr(self, "_own_loo_cells", None)
+        if cached is None or cached[0] is not self._packed_codes:
+            cached = (self._packed_codes, self._loo_cells(self._packed_codes))
+            self._own_loo_cells = cached
+        return cached[1]
+
+    def _loo_own_similarity(
+        self, cells: np.ndarray, own: np.ndarray, loo_table: np.ndarray
+    ) -> np.ndarray:
+        """Leave-one-out similarity of each object to its cluster ``own``: ``(b,)``.
+
+        ``cells`` are the objects' :meth:`_loo_cells`.  Their table entries
+        in row ``own`` are added one feature at a time in ascending order, as
+        :class:`~repro.engine.reference.LoopEngine` adds them (NumPy's row
+        ``sum`` is pairwise from eight terms up and would differ in the last
+        bit), and the total is divided by ``d``.
+        """
+        d = cells.shape[0]
+        rows = cells + own * loo_table.shape[1]
+        flat = loo_table.ravel()
+        total = np.zeros(own.shape[0], dtype=np.float64)
+        for r in range(d):
+            total += flat.take(rows[r])
+        return total / d
 
     def _similarity_block(
         self,
-        packed_codes: np.ndarray,
+        onehot: np.ndarray,
         column_weights: np.ndarray,
-        exclude_labels: Optional[np.ndarray],
-        feature_weights: Optional[np.ndarray],
-        onehot: Optional[np.ndarray] = None,
+        own: Optional[np.ndarray] = None,
+        loo: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        d = packed_codes.shape[1]
-        if onehot is None:
-            onehot = self._one_hot(packed_codes)
-        sims = onehot @ column_weights
-        sims /= d
-        if exclude_labels is not None:
-            assigned = exclude_labels >= 0
-            if assigned.any():
-                own = exclude_labels[assigned]
-                sims[np.flatnonzero(assigned), own] = self._loo_own_similarity(
-                    packed_codes[assigned], own, feature_weights
-                )
+        """``(b, k)`` similarities of a block of objects, from its one-hot.
+
+        With ``own`` given, the cell of object ``i``'s cluster ``own[i] >= 0``
+        holds its leave-one-out similarity ``loo[i]`` instead.  ``out`` is an
+        optional C-contiguous ``(b, k)`` buffer for the result.
+        """
+        sims = np.matmul(onehot, column_weights, out=out)
+        sims /= self.codes.shape[1]
+        if own is not None:
+            rows = np.flatnonzero(own >= 0)
+            np.put(sims, rows * self.n_clusters + own[rows], loo[rows])
         return sims
 
     def _block_size(self, n: int) -> int:
@@ -458,28 +509,30 @@ class PackedFrequencyEngine(FrequencyEngine):
                 )
             packed_codes = self.pack(codes)
             n = packed_codes.shape[0]
+        own = loo = None
         if exclude_labels is not None:
-            exclude_labels = np.asarray(exclude_labels, dtype=np.int64)
-            if exclude_labels.shape[0] != n:
+            own = np.asarray(exclude_labels, dtype=np.int64)
+            if own.shape[0] != n:
                 raise ValueError("exclude_labels must have one entry per object")
+            cells = self._cached_loo_cells() if own_codes else self._loo_cells(packed_codes)
+            loo = self._loo_own_similarity(
+                cells, np.maximum(own, 0), self._loo_table(feature_weights)
+            )
 
         column_weights = self._column_weights(feature_weights)
         block = self._block_size(n)
         if own_codes and block >= n:
-            return self._similarity_block(
-                packed_codes,
-                column_weights,
-                exclude_labels,
-                feature_weights,
-                onehot=self._cached_one_hot(),
-            )
+            return self._similarity_block(self._cached_one_hot(), column_weights, own, loo)
 
         sims = np.empty((n, self.n_clusters), dtype=np.float64)
         for start in range(0, n, block):
-            stop = min(start + block, n)
-            excl = exclude_labels[start:stop] if exclude_labels is not None else None
-            sims[start:stop] = self._similarity_block(
-                packed_codes[start:stop], column_weights, excl, feature_weights
+            part = slice(start, min(start + block, n))
+            self._similarity_block(
+                self._one_hot(packed_codes[part]),
+                column_weights,
+                None if own is None else own[part],
+                None if loo is None else loo[part],
+                out=sims[part],
             )
         return sims
 
@@ -552,34 +605,82 @@ class PackedFrequencyEngine(FrequencyEngine):
         t = (1.0 - np.asarray(rho, dtype=np.float64)) * np.asarray(u, dtype=np.float64)
         blocked = np.asarray(blocked, dtype=np.bool_)
         column_weights = self._column_weights(omega)
+        loo = self._loo_own_similarity(
+            self._cached_loo_cells(), np.maximum(labels, 0), self._loo_table(omega)
+        )
         # Engines that stream similarity blocks (chunked) encode each block
         # afresh; the others slice their cached one-hot.
         onehot = self._cached_one_hot() if self._block_size(n) >= n else None
+        blocks = sweep_blocks(n, self.n_clusters, self.n_values)
+        rows = max(stop - start for start, stop in blocks)
+        sims_buffer = np.empty((rows, self.n_clusters), dtype=np.float64)
+        scores_buffer = np.empty_like(sims_buffer)
 
         winners = np.empty(n, dtype=np.int64)
         rivals = np.empty(n, dtype=np.int64)
         winner_sims = np.empty(n, dtype=np.float64)
         rival_sims = np.empty(n, dtype=np.float64)
         has_rival = np.empty(n, dtype=np.bool_)
-        for start, stop in sweep_blocks(n, self.n_clusters, self.n_values):
+        for start, stop in blocks:
+            part = slice(start, stop)
             sims = self._similarity_block(
-                self._packed_codes[start:stop],
+                self._one_hot(self._packed_codes[part]) if onehot is None else onehot[part],
                 column_weights,
-                labels[start:stop],
-                omega,
-                onehot=None if onehot is None else onehot[start:stop],
+                labels[part],
+                loo[part],
+                out=sims_buffer[: stop - start],
             )
             (
-                winners[start:stop],
-                rivals[start:stop],
-                winner_sims[start:stop],
-                rival_sims[start:stop],
-                has_rival[start:stop],
-            ) = select_winners(sims, t, blocked)
+                winners[part],
+                rivals[part],
+                winner_sims[part],
+                rival_sims[part],
+                has_rival[part],
+            ) = select_winners(sims, t, blocked, scores_buffer[: stop - start])
         stats = competition_statistics(
             winners, rivals, winner_sims, rival_sims, has_rival, self.n_clusters
         )
         return (winners, *stats)
+
+    def nearest_clusters(
+        self,
+        rows,
+        allowed: np.ndarray,
+        feature_weights: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Blocked :meth:`FrequencyEngine.nearest_clusters`: no ``(n, k)`` array.
+
+        Scores the engine's objects one :func:`sweep_blocks` block at a time
+        — the fused sweep's GEMM shapes, hence the whole-matrix bits — into
+        one reused ``(rows, k)`` buffer, sets disallowed clusters to
+        ``-inf`` and reduces only the requested rows of each block.  Each
+        block's one-hot is encoded afresh, so no full ``(n, M)`` encoding is
+        built either.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        disallowed = ~np.asarray(allowed, dtype=np.bool_)
+        n = self._packed_codes.shape[0]
+        blocks = sweep_blocks(n, self.n_clusters, self.n_values)
+        score = self._block_scorer(feature_weights)
+        buffer = np.empty(
+            (max(stop - start for start, stop in blocks), self.n_clusters), dtype=np.float64
+        )
+        bounds = np.searchsorted(rows, [start for start, _ in blocks] + [n])
+        nearest = np.empty(rows.size, dtype=np.int64)
+        for (start, stop), lo, hi in zip(blocks, bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            sims = score(start, stop, buffer[: stop - start])
+            sims[:, disallowed] = -np.inf
+            nearest[lo:hi] = sims[rows[lo:hi] - start].argmax(axis=1)
+        return nearest
+
+    def _block_scorer(self, feature_weights: Optional[np.ndarray]):
+        """``score(start, stop, out)``: similarities of objects ``start:stop`` into ``out``."""
+        column_weights = self._column_weights(feature_weights)
+        return lambda start, stop, out: self._similarity_block(
+            self._one_hot(self._packed_codes[start:stop]), column_weights, out=out
+        )
 
     # ------------------------------------------------------------------ #
     # Feature-cluster weighting (Eqs. 15-18)
@@ -640,12 +741,13 @@ class DenseEngine(PackedFrequencyEngine):
 
     The ``(n, M)`` one-hot encoding of the (immutable) data matrix is built
     once and reused.  ``similarity_matrix`` is one whole-matrix multiply plus
-    one gather for the leave-one-out correction; MGCPL's sweep
+    the table-driven leave-one-out correction; MGCPL's sweep
     (``competitive_sweep``) runs the same kernel over row slices of the
-    cached one-hot, fused with scoring and selection, so its ``(rows, k)``
-    temporaries stay cache-sized.  Blocks are never thinner than
+    cached one-hot, fused with scoring and selection, so its two
+    ``(rows, k)`` buffers stay cache-sized.  Blocks are never thinner than
     :func:`sweep_rows`, because thinner BLAS products do not reproduce the
-    whole-matrix bits.
+    whole-matrix bits.  Above that floor the sweep is bit-identical to
+    :class:`~repro.engine.reference.LoopEngine` at any ``d``.
     """
 
 

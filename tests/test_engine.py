@@ -13,10 +13,18 @@ Two invariants protect every consumer of :mod:`repro.engine`:
   seed UCI benchmark data sets.
 * **Blocked sweep == whole-matrix sweep** — the cache-blocked
   ``competitive_sweep`` returns bit-identical shard updates to the NumPy
-  reference path over the whole similarity matrix, for every block layout.
+  reference path over the whole similarity matrix, for every block layout,
+  and to the ``LoopEngine`` oracle at d >= 8 (where a pairwise row sum would
+  differ in the last bit).
+* **Blocked reassignment == whole-matrix reassignment** — MGCPL's
+  stranded-member reassignment scores one row block at a time, gives the
+  labels of the masked whole similarity matrix and never allocates an
+  ``(n, k)`` array.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.packed as packed_mod
-from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
+from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
 from repro.core.sync import (
     InProcessShardExecutor,
     SweepBroadcast,
@@ -220,10 +228,11 @@ def test_parity_on_seed_uci_datasets(abbrev, kind):
 
     engine, reference = build_pair(kind, codes, cats, k, labels)
     assert_state_equal(engine, reference)
-    assert np.allclose(
+    # Exact: the leave-one-out cells add features in LoopEngine's ascending
+    # order (Con and Vot have d=16, where a pairwise row sum would differ).
+    assert np.array_equal(
         engine.similarity_matrix(feature_weights=omega, exclude_labels=labels),
         reference.similarity_matrix(feature_weights=omega, exclude_labels=labels),
-        atol=1e-12,
     )
     assert np.allclose(
         engine.feature_cluster_weights(), reference.feature_cluster_weights(), atol=1e-12
@@ -306,16 +315,22 @@ def layout(name, k):
     }[name]
 
 
-def sweep_problem(seed, n, k, first_sweep, weighted):
+def sweep_codes(rng, n, cats=SWEEP_CATS):
+    """Codes over the vocabularies ``cats`` with 15% missing values."""
+    codes = np.stack([rng.integers(0, m, size=n) for m in cats], axis=1)
+    codes[rng.random(codes.shape) < 0.15] = -1
+    return codes
+
+
+def sweep_problem(seed, n, k, first_sweep, weighted, cats=SWEEP_CATS):
     """Codes with missing values, a sweep's labels and a broadcast."""
     rng = np.random.default_rng(seed)
-    d = len(SWEEP_CATS)
-    codes = np.stack([rng.integers(0, m, size=n) for m in SWEEP_CATS], axis=1)
-    codes[rng.random((n, d)) < 0.15] = -1
+    d = len(cats)
+    codes = sweep_codes(rng, n, cats)
     labels = rng.integers(0, k, size=n)
     if first_sweep:  # mostly unassigned, as in an epoch's first sweep
         labels[rng.random(n) < 0.9] = -1
-    state = make_engine(codes, SWEEP_CATS, k, kind="loop", labels=labels).snapshot()
+    state = make_engine(codes, cats, k, kind="loop", labels=labels).snapshot()
     broadcast = SweepBroadcast(
         state=state,
         u=cluster_weight_from_delta(rng.random(k)),
@@ -396,6 +411,115 @@ class TestBlockedSweep:
             assert np.array_equal(one.labels, three.labels)
             assert np.array_equal(one.state.packed, three.state.packed)
             broadcast.state = one.state
+
+
+    @pytest.mark.parametrize("kind", ["dense", "chunked"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_loop_oracle_at_twelve_features(self, monkeypatch, kind, weighted):
+        """At d=12 the own-cluster similarity adds its features in loop order.
+
+        The labels come from two loop-engine sweeps, so most objects' own
+        cluster wins and its leave-one-out similarity reaches the
+        statistics.  A pairwise row sum differs from the oracle here.
+        """
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        cats, k = SWEEP_CATS * 2, 19
+        rows = packed_mod.sweep_rows(k, sum(cats))
+        n = 3 * rows + rows // 3
+        codes, labels, broadcast = sweep_problem(12, n, k, False, weighted, cats=cats)
+        loop = make_engine(codes, cats, k, kind="loop")
+        for _ in range(2):
+            update = mgcpl_sweep_local(loop, labels, broadcast)
+            labels, broadcast.state = update.labels, update.state
+        assert len(packed_mod.sweep_blocks(n, k, sum(cats))) == 3
+        assert_updates_identical(
+            mgcpl_sweep_local(make_engine(codes, cats, k, kind=kind), labels, broadcast),
+            mgcpl_sweep_local(loop, labels, broadcast),
+        )
+
+
+STRANDED_SETS = ["all", "none", "fewer-than-a-block", "with-empty-alive"]
+
+
+def reassign_problem(seed, n, k, stranded_set):
+    """Codes, labels and the alive mask of one stranded set.
+
+    ``all`` strands every object, ``none`` leaves every object in an alive
+    cluster, ``fewer-than-a-block`` strands ten unassigned objects inside
+    the middle block, and ``with-empty-alive`` eliminates a third of the
+    clusters and moves the members of two alive ones onto a dead one, so
+    those two are alive but empty and may not receive anybody.
+    """
+    rng = np.random.default_rng(seed)
+    codes = sweep_codes(rng, n)
+    labels = rng.integers(0, k, size=n)
+    alive = np.ones(k, dtype=bool)
+    if stranded_set == "all":
+        labels[:] = -1
+    elif stranded_set == "fewer-than-a-block":
+        labels[n // 2 : n // 2 + 10] = -1
+    elif stranded_set == "with-empty-alive":
+        alive[rng.choice(k, size=k // 3, replace=False)] = False
+        emptied = np.flatnonzero(alive)[:2]
+        labels[np.isin(labels, emptied)] = np.flatnonzero(~alive)[0]
+    return codes, labels, alive
+
+
+def whole_matrix_reassignment(codes, labels, alive, omega, kind):
+    """The reference: argmax of the masked whole similarity matrix."""
+    stranded = (labels < 0) | ~alive[np.clip(labels, 0, alive.size - 1)]
+    kwargs = {"chunk_size": codes.shape[0]} if kind == "chunked" else {}
+    table = make_engine(
+        codes, SWEEP_CATS, alive.size, kind=kind,
+        labels=np.where(stranded, -1, labels), **kwargs,
+    )
+    allowed = alive & (table.sizes > 0)
+    if not allowed.any():
+        allowed = alive
+    sims = table.similarity_matrix(feature_weights=omega)
+    expected = labels.copy()
+    expected[stranded] = np.where(allowed[None, :], sims, -np.inf)[stranded].argmax(axis=1)
+    return expected, stranded, allowed
+
+
+class TestBlockedReassignment:
+    @pytest.mark.parametrize("stranded_set", STRANDED_SETS)
+    @pytest.mark.parametrize("kind", ["dense", "chunked"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_whole_matrix_reassignment(self, monkeypatch, stranded_set, kind, weighted):
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        k = 19
+        _, n, n_blocks = layout("uneven", k)
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == n_blocks
+        codes, labels, alive = reassign_problem(n + k, n, k, stranded_set)
+        omega = np.random.default_rng(n).random((len(SWEEP_CATS), k)) if weighted else None
+        expected, stranded, allowed = whole_matrix_reassignment(codes, labels, alive, omega, kind)
+        n_stranded = {"all": n, "none": 0, "fewer-than-a-block": 10}.get(stranded_set)
+        if n_stranded is not None:
+            assert stranded.sum() == n_stranded
+        else:
+            assert (alive & ~allowed).sum() == 2
+        estimator = MGCPL(engine=kind, use_feature_weights=weighted)
+        got = estimator._reassign_dead_members(codes, SWEEP_CATS, labels, alive, omega)
+        assert np.array_equal(got, expected)
+
+    def test_peak_allocation_stays_below_one_n_by_k_matrix(self):
+        """No ``(n, k)`` float64 matrix: the trace peak stays below one."""
+        n, k, d = 20_000, 150, 12
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, 6, size=(n, d))
+        labels = rng.integers(0, k, size=n)
+        alive = rng.random(k) < 0.5
+        omega = rng.random((d, k))
+        estimator = MGCPL(engine="dense")
+        tracemalloc.start()
+        try:
+            got = estimator._reassign_dead_members(codes, [6] * d, labels, alive, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alive[got].all()
+        assert peak < n * k * 8, f"peak {peak / 2**20:.1f} MiB >= one n x k matrix"
 
 
 class TestCompatibilityShim:

@@ -63,6 +63,20 @@ class TestKernelBitExactness:
                     loop.similarity_matrix(feature_weights=fw, exclude_labels=excl),
                 )
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_nearest_clusters_exact(self, seed):
+        """Blocked reassignment through the kernel == the loop's whole matrix."""
+        codes, cats, labels, rng = random_problem(seed)
+        compiled, loop = build_pair(codes, cats, 5, labels)
+        omega = rng.random((codes.shape[1], 5))
+        rows = np.flatnonzero(rng.random(codes.shape[0]) < 0.5)
+        allowed = np.array([True, False, True, True, False])
+        for fw in (None, omega):
+            assert np.array_equal(
+                compiled.nearest_clusters(rows, allowed, fw),
+                loop.nearest_clusters(rows, allowed, fw),
+            )
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_hamming_distances_exact(self, seed):
         codes, cats, labels, rng = random_problem(seed)
