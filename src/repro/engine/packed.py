@@ -139,13 +139,13 @@ def select_winners(
     if blocked.any():
         scores[:, blocked] = -np.inf
     first = np.arange(b) * k  # flat index of each row's first cell
-    at_winner = first + scores.argmax(axis=1)
-    np.put(scores, at_winner, -np.inf)
-    at_rival = first + scores.argmax(axis=1)
-    has_rival = np.isfinite(scores.take(at_rival))
-    winner_sims = sims.take(at_winner)
-    rival_sims = np.where(has_rival, sims.take(at_rival), 0.0)
-    return at_winner - first, at_rival - first, winner_sims, rival_sims, has_rival
+    winners = scores.argmax(axis=1)
+    np.put(scores, first + winners, -np.inf)
+    rivals = scores.argmax(axis=1)
+    has_rival = np.isfinite(scores.take(first + rivals))
+    winner_sims = sims.take(first + winners)
+    rival_sims = np.where(has_rival, sims.take(first + rivals), 0.0)
+    return winners, rivals, winner_sims, rival_sims, has_rival
 
 
 def competition_statistics(
