@@ -3,13 +3,13 @@
 Measurements pinned into the ``BENCH_engine.json`` trajectory:
 
 * ``test_similarity_matrix_throughput`` — one full similarity sweep at
-  n=50 000, d=20, k=100 (the acceptance scale): the packed
-  :class:`~repro.engine.packed.DenseEngine` must be at least 3x faster than
-  the seed per-feature loop implementation
+  n=50 000, d=20, k=100 (the acceptance scale): the dense
+  :class:`~repro.engine.packed.PackedFrequencyEngine` must be at least 3x
+  faster than the seed per-feature loop implementation
   (:class:`~repro.engine.reference.LoopEngine`).
 * ``test_compiled_sweep_speedup`` — the numba-compiled fused competitive
   sweep (:class:`~repro.engine.compiled.CompiledEngine`) must be at least 2x
-  faster than the DenseEngine numpy sweep path at the same scale.  Skipped
+  faster than the dense engine's numpy sweep path at the same scale.  Skipped
   when numba is absent (the interpreted kernel fallback is a correctness
   oracle, not a fast path).
 * ``test_fit_local_sweep_and_reassignment`` — record-only: one dense fused
@@ -115,7 +115,7 @@ def test_similarity_matrix_throughput(benchmark):
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
 def test_compiled_sweep_speedup(benchmark):
-    """The compiled fused sweep must be >= 2x the DenseEngine sweep at n=50k."""
+    """The compiled fused sweep must be >= 2x the dense engine's sweep at n=50k."""
     ds, labels, omega = _sim_problem()
     cats = list(ds.n_categories)
     d = ds.n_features
@@ -161,7 +161,7 @@ def test_compiled_sweep_speedup(benchmark):
         baseline_seconds=dense_time,
     )
     assert speedup >= 2.0, (
-        f"compiled sweep must be >= 2x faster than the DenseEngine sweep at "
+        f"compiled sweep must be >= 2x faster than the dense engine's sweep at "
         f"n={SIM_N}, d={SIM_D}, k={SIM_K}; got {speedup:.2f}x "
         f"(dense {dense_time:.3f}s vs compiled {compiled_time:.3f}s)"
     )

@@ -16,7 +16,8 @@ Public API highlights
   ``clone``, and ``save`` / :func:`repro.load_model` persistence through
   ``EngineState`` snapshots (:mod:`repro.persistence`).
 * :mod:`repro.engine` — the packed similarity engine every layer runs on
-  (``dense``/``chunked`` vectorised backends + the ``loop`` reference).
+  (the ``dense`` vectorised backend, ``compiled`` numba kernels and the
+  ``loop`` reference).
 * :mod:`repro.baselines` — k-modes, ROCK, WOCIL, GUDMM, FKMAWCW, ADC.
 * :mod:`repro.data` — data set container, generators and the UCI benchmarks.
 * :mod:`repro.metrics` — ACC, ARI, AMI, FM validity indices.

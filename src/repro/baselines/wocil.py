@@ -50,7 +50,7 @@ class WOCIL(BaseClusterer):
     max_iter:
         Maximum number of assignment sweeps.
     engine:
-        Frequency-table backend (``"auto"``, ``"dense"``, ``"chunked"`` or
+        Frequency-table backend (``"auto"``, ``"dense"``, ``"compiled"`` or
         ``"loop"``); see :mod:`repro.engine`.
     random_state:
         Seed or generator (only used to break ties in seeding).

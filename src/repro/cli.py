@@ -604,7 +604,7 @@ def _predict(args: argparse.Namespace) -> int:
 
 def _methods(_: argparse.Namespace) -> int:
     from repro.distributed.transport import backend_specs
-    from repro.engine import ENGINES, NUMBA_AVAILABLE, resolve_engine_kind
+    from repro.engine import ENGINE_ALIASES, ENGINES, NUMBA_AVAILABLE, resolve_engine_kind
     from repro.registry import registered_specs
 
     for spec in registered_specs():
@@ -621,7 +621,9 @@ def _methods(_: argparse.Namespace) -> int:
     for name, engine_cls in sorted(ENGINES.items()):
         doc = (engine_cls.__doc__ or "").strip().splitlines()
         marker = "  [auto default]" if name == auto_kind else ""
-        print(f"{name:<16} {doc[0] if doc else ''}{marker}")
+        aliases = [alias for alias, target in ENGINE_ALIASES.items() if target == name]
+        aliases = f"  (aliases: {', '.join(aliases)})" if aliases else ""
+        print(f"{name:<16} {doc[0] if doc else ''}{marker}{aliases}")
     numba_note = "available" if NUMBA_AVAILABLE else "not installed (compiled runs interpreted)"
     print(f"numba: {numba_note}")
     return 0

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.assignment import AssignmentModel
 from repro.core.base import ArrayOrDataset, BaseClusterer, coerce_codes, compact_labels
 from repro.core.sync import InProcessShardExecutor
-from repro.engine import ENGINES, EngineState
+from repro.engine import ENGINES, EngineState, resolve_engine_kind
 from repro.registry import register_clusterer
 from repro.utils.rng import RandomState, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -55,8 +55,8 @@ class CAME(BaseClusterer):
     engine:
         Frequency-table backend used for the mode/assignment steps:
         ``"auto"`` (default: ``"compiled"`` when numba is importable,
-        otherwise ``"dense"`` or ``"chunked"`` by the one-hot footprint),
-        ``"dense"``, ``"chunked"``, ``"compiled"`` or ``"loop"``.
+        otherwise ``"dense"``), ``"dense"``, ``"compiled"`` or ``"loop"``.
+        ``"dense"`` bounds its memory by itself above 2**26 one-hot cells.
     random_state:
         Seed or generator for mode initialisation.
 
@@ -85,7 +85,7 @@ class CAME(BaseClusterer):
         self.weighted = bool(weighted)
         self.n_init = check_positive_int(n_init, "n_init")
         self.max_iter = check_positive_int(max_iter, "max_iter")
-        if engine != "auto" and engine not in ENGINES:
+        if resolve_engine_kind(engine, 0, 0) not in ENGINES:
             raise ValueError(
                 f"engine must be 'auto' or one of {sorted(ENGINES)}, got {engine!r}"
             )

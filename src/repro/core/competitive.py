@@ -47,7 +47,7 @@ class CompetitiveLearningClusterer(BaseClusterer):
     prune_empty:
         Whether clusters that lose all their objects are removed.
     engine:
-        Frequency-table backend (``"auto"``, ``"dense"``, ``"chunked"`` or
+        Frequency-table backend (``"auto"``, ``"dense"``, ``"compiled"`` or
         ``"loop"``); see :mod:`repro.engine`.
     random_state:
         Seed or generator controlling seed-object selection.

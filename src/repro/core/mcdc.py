@@ -132,8 +132,9 @@ class MCDC(BaseClusterer):
     engine:
         Frequency-table backend shared by MGCPL and CAME: ``"auto"``
         (default: ``"compiled"`` when numba is importable, otherwise
-        ``"dense"`` or ``"chunked"`` by the one-hot footprint), ``"dense"``,
-        ``"chunked"``, ``"compiled"`` or ``"loop"``; see :mod:`repro.engine`.
+        ``"dense"``), ``"dense"``, ``"compiled"`` or ``"loop"``; ``"dense"``
+        bounds its memory by itself above 2**26 one-hot cells.  See
+        :mod:`repro.engine`.
     random_state:
         Seed or generator.
 

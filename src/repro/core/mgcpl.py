@@ -51,7 +51,7 @@ from repro.core.base import (
     dataset_onehot_cache,
 )
 from repro.core.sync import InProcessShardExecutor, SweepBroadcast
-from repro.engine import ENGINES, make_engine
+from repro.engine import ENGINES, make_engine, resolve_engine_kind
 from repro.registry import register_clusterer
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -218,9 +218,10 @@ class MGCPL(BaseClusterer):
         object-at-a-time updates).
     engine:
         Frequency-table backend: ``"auto"`` (default: ``"compiled"`` when
-        numba is importable, otherwise ``"dense"`` or ``"chunked"`` by the
-        one-hot footprint), ``"dense"``, ``"chunked"``, ``"compiled"`` or
-        ``"loop"`` (the slow reference).  See :mod:`repro.engine`.
+        numba is importable, otherwise ``"dense"``), ``"dense"``,
+        ``"compiled"`` or ``"loop"`` (the slow reference).  ``"dense"``
+        bounds its memory by itself above 2**26 one-hot cells.  See
+        :mod:`repro.engine`.
     use_feature_weights:
         Whether to use the feature-to-cluster weighting of Eqs. 14-18
         (disabling it falls back to the unweighted similarity of Eq. 1).
@@ -264,7 +265,7 @@ class MGCPL(BaseClusterer):
             raise ValueError(f"learning_rate must be in (0, 1), got {learning_rate}")
         if update_mode not in ("batch", "online"):
             raise ValueError(f"update_mode must be 'batch' or 'online', got {update_mode!r}")
-        if engine != "auto" and engine not in ENGINES:
+        if resolve_engine_kind(engine, 0, 0) not in ENGINES:
             raise ValueError(
                 f"engine must be 'auto' or one of {sorted(ENGINES)}, got {engine!r}"
             )

@@ -150,10 +150,10 @@ def mgcpl_sweep_local(engine, labels: np.ndarray, broadcast: SweepBroadcast) -> 
     Eqs. 10-13 for the shard's objects only, and leaves the engine holding
     the shard's count contribution under the new assignment.
 
-    Every packed engine exposes ``competitive_sweep``: the dense and
-    chunked backends run it as one cache-blocked NumPy pass that never
-    holds an ``(n, k)`` array (:mod:`repro.engine.packed`), the compiled
-    backend as fused kernels (:mod:`repro.engine.compiled`).  The NumPy
+    Every packed engine exposes ``competitive_sweep``: the dense backend
+    runs it as one cache-blocked NumPy pass that never holds an ``(n, k)``
+    array (:mod:`repro.engine.packed`), the compiled backend as fused
+    kernels (:mod:`repro.engine.compiled`).  The NumPy
     branch below — the whole similarity matrix through the same selection
     and statistics helpers — is the
     :class:`~repro.engine.reference.LoopEngine` reference path.  All paths

@@ -1,7 +1,6 @@
 """Distance and similarity measures for categorical data."""
 
 from repro.distance.hamming import hamming_distance, hamming_matrix, pairwise_hamming
-from repro.distance.object_cluster import ClusterFrequencyTable, object_cluster_similarity
 from repro.distance.value_cooccurrence import (
     cooccurrence_value_distances,
     mutual_information_matrix,
@@ -12,8 +11,6 @@ __all__ = [
     "hamming_distance",
     "hamming_matrix",
     "pairwise_hamming",
-    "ClusterFrequencyTable",
-    "object_cluster_similarity",
     "cooccurrence_value_distances",
     "mutual_information_matrix",
     "graph_value_distances",

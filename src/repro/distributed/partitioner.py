@@ -52,9 +52,9 @@ class MultiGranularPartitioner:
         size before over-sized micro-clusters are split.
     engine:
         Frequency-table backend handed to MGCPL (``"auto"``, ``"dense"``,
-        ``"chunked"`` or ``"loop"``).  Pre-partitioning targets large data
-        sets, so ``"auto"`` switches to the memory-bounded chunked backend
-        once the one-hot footprint grows; see :mod:`repro.engine`.
+        ``"compiled"`` or ``"loop"``).  Pre-partitioning targets large data
+        sets; the dense engine stops caching its one-hot above 2**26 cells,
+        so its memory stays bounded; see :mod:`repro.engine`.
     random_state:
         Seed or generator (passed to MGCPL and to the balancing step).
     """

@@ -366,7 +366,7 @@ class StreamingMGCPL(_ShardedMixin, MGCPL):
             raise ValueError(
                 "the streaming runtime patches similarities with the packed "
                 "engines' arithmetic; engine='loop' sums in a different order "
-                "— use 'auto', 'dense', 'chunked' or 'compiled'"
+                "— use 'auto', 'dense' or 'compiled'"
             )
         self._init_sharding(n_shards, backend, None, hosts, backend_options)
         super().__init__(**mgcpl_params)

@@ -5,11 +5,12 @@ aggregation substrate, the competitive-learning and WOCIL baselines, and the
 distributed pre-partitioner — evaluates the paper's object-cluster similarity
 (Eqs. 1-2 and 14-18) through one of the backends in this package:
 
-* :class:`DenseEngine` — packed ``(k, M)`` counts, cached one-hot, BLAS
-  similarity kernels and MGCPL's sweep fused into one cache-blocked pass;
-  the default.
-* :class:`ChunkedEngine` — same kernels streamed over object blocks to bound
-  peak memory at large ``n`` (Fig. 6 scale and beyond).
+* :class:`PackedFrequencyEngine` (``"dense"``) — packed ``(k, M)`` counts,
+  BLAS similarity kernels and MGCPL's sweep fused into one cache-blocked
+  pass; the default.  Its one-hot is cached up to
+  :data:`~repro.engine.packed.ONEHOT_MAX_CELLS` (2**26) cells and encoded one
+  row block at a time above that, so memory stays bounded at any ``n``
+  (Fig. 6 scale and beyond) with the same bits.
 * :class:`CompiledEngine` — numba-compiled fused sweep kernels over the
   packed counts, bit-faithful to the loop reference; auto-selected when
   numba is importable (:data:`NUMBA_AVAILABLE`), interpreted otherwise.
@@ -17,8 +18,7 @@ distributed pre-partitioner — evaluates the paper's object-cluster similarity
   numerical reference for property tests and benchmarks.
 
 Use :func:`make_engine` to construct a backend by name; ``"auto"`` picks the
-compiled backend when numba is present, else dense or chunked from the
-one-hot footprint ``n * M``.
+compiled backend when numba is present, else dense.
 """
 
 from __future__ import annotations
@@ -30,35 +30,34 @@ import numpy as np
 from repro.engine import compiled as _compiled
 from repro.engine.base import FrequencyEngine
 from repro.engine.compiled import NUMBA_AVAILABLE, CompiledEngine
-from repro.engine.packed import ChunkedEngine, DenseEngine, OneHotCache, PackedFrequencyEngine
+from repro.engine.packed import OneHotCache, PackedFrequencyEngine
 from repro.engine.reference import LoopEngine
 from repro.engine.state import EngineState, state_from_labels
 
 ENGINES = {
-    "dense": DenseEngine,
-    "chunked": ChunkedEngine,
+    "dense": PackedFrequencyEngine,
     "compiled": CompiledEngine,
     "loop": LoopEngine,
 }
 
-#: ``n * M`` one-hot cells above which ``"auto"`` switches to the chunked
-#: backend (64M float64 cells = 512 MB).
-AUTO_DENSE_MAX_CELLS = 1 << 26
+#: Other accepted names of an engine kind.  ``"chunked"`` named a separate
+#: streaming engine once, and saved models' parameters still carry it.
+ENGINE_ALIASES = {"chunked": "dense"}
 
 
 def resolve_engine_kind(kind: str, n_objects: int, n_values: int) -> str:
-    """Resolve ``"auto"`` to a concrete backend name for a given problem size.
+    """Resolve ``"auto"`` or an alias to a concrete backend name.
 
-    With numba importable, ``"auto"`` picks the compiled backend: its fused
-    kernels beat the BLAS-over-one-hot path and need no ``(n, M)`` one-hot,
-    so the memory-based dense/chunked split does not apply.  The flag is read
-    from :mod:`repro.engine.compiled` at call time so tests can patch it.
+    With numba importable, ``"auto"`` picks the compiled backend (its fused
+    kernels beat the BLAS-over-one-hot path), else ``"dense"``.  The flag is
+    read from :mod:`repro.engine.compiled` at call time so tests can patch
+    it.  The problem size does not matter: the dense engine bounds its own
+    memory (:data:`~repro.engine.packed.ONEHOT_MAX_CELLS`).
     """
+    kind = ENGINE_ALIASES.get(kind, kind)
     if kind != "auto":
         return kind
-    if _compiled.NUMBA_AVAILABLE:
-        return "compiled"
-    return "dense" if n_objects * n_values <= AUTO_DENSE_MAX_CELLS else "chunked"
+    return "compiled" if _compiled.NUMBA_AVAILABLE else "dense"
 
 
 def make_engine(
@@ -80,15 +79,14 @@ def make_engine(
     n_clusters:
         Number of cluster slots.
     kind:
-        ``"auto"`` (default), ``"dense"``, ``"chunked"``, ``"compiled"`` or
-        ``"loop"``.
+        ``"auto"`` (default), ``"dense"``, ``"compiled"`` or ``"loop"``
+        (``"chunked"`` is an alias of ``"dense"``).
     labels:
         Optional initial assignment; when given the engine is rebuilt from it.
     kwargs:
-        Extra backend parameters (e.g. ``chunk_size`` for the chunked engine,
-        or an ``onehot_cache`` shared by the packed backends; parameters a
-        backend does not take are silently dropped so one call site can
-        serve every backend).
+        Extra backend parameters (an ``onehot_cache`` shared by the packed
+        backends; the loop backend drops it, so one call site can serve
+        every backend).
     """
     codes = np.asarray(codes, dtype=np.int64)
     resolved = resolve_engine_kind(kind, codes.shape[0], int(sum(n_categories)))
@@ -111,14 +109,12 @@ __all__ = [
     "state_from_labels",
     "FrequencyEngine",
     "PackedFrequencyEngine",
-    "DenseEngine",
-    "ChunkedEngine",
     "CompiledEngine",
     "LoopEngine",
     "OneHotCache",
     "NUMBA_AVAILABLE",
     "ENGINES",
-    "AUTO_DENSE_MAX_CELLS",
+    "ENGINE_ALIASES",
     "resolve_engine_kind",
     "make_engine",
 ]

@@ -18,9 +18,12 @@ paper (Eqs. 1-2 and 14) and exposes the same operations:
   mode assignment step (Eq. 20).
 
 Concrete backends live in :mod:`repro.engine.packed` (the vectorised
-``DenseEngine`` / ``ChunkedEngine`` production pair) and
+``PackedFrequencyEngine``, whose one-hot is cached up to 2**26 cells and
+encoded per row block above that, so its memory stays bounded),
+:mod:`repro.engine.compiled` (numba kernels over the same layout) and
 :mod:`repro.engine.reference` (the per-feature loop implementation kept as a
-numerical reference).  New backends (sparse, numba, multi-process) only need
+numerical reference).  ``hamming_distances`` is shared by all but the
+compiled backend.  New backends (sparse, numba, multi-process) only need
 to implement this protocol to become drop-in replacements for every consumer:
 MGCPL, CAME, the competitive-learning baseline, WOCIL and the distributed
 pre-partitioner.
@@ -32,6 +35,8 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
+
+from repro.utils.validation import check_array_2d
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.engine.state import EngineState
@@ -219,7 +224,6 @@ class FrequencyEngine(ABC):
     def modes(self) -> np.ndarray:
         """Per-cluster modal value of every feature: shape ``(k, d)``."""
 
-    @abstractmethod
     def hamming_distances(
         self, references, feature_weights: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -227,9 +231,37 @@ class FrequencyEngine(ABC):
 
         ``references`` is a ``(q, d)`` coded matrix (e.g. cluster modes);
         ``feature_weights`` an optional ``(d,)`` weight vector.  Missing
-        values (``-1``) on either side always count as a mismatch.  Returns
-        shape ``(n, q)``.
+        values (``-1``) on either side always count as a mismatch; values
+        outside a feature's vocabulary are rejected.  Returns shape
+        ``(n, q)``.
+
+        Per feature ``r``, an ``(m_r + 1, q)`` table holds the weight each
+        value pays against each reference (last row: a missing value);
+        gathering it by the objects' codes gives that feature's ``(n, q)``
+        terms, added in ascending feature order — the loop's order, so the
+        result is exact and no one-hot is built.
         """
+        references = check_array_2d(references, "references", dtype=np.int64)
+        n, d = self.codes.shape
+        if references.shape[1] != d:
+            raise ValueError(f"references has {references.shape[1]} features, expected {d}")
+        if feature_weights is None:
+            weights = np.ones(d, dtype=np.float64)
+        else:
+            weights = np.asarray(feature_weights, dtype=np.float64).ravel()
+            if weights.shape[0] != d:
+                raise ValueError(f"feature_weights must have length {d}")
+        vocab = np.asarray(self.n_categories, dtype=np.int64)
+        if references.shape[0] and (references.max(axis=0) >= vocab).any():
+            raise ValueError("references contain values outside the declared vocabularies")
+        dist = np.zeros((n, references.shape[0]), dtype=np.float64)
+        for r, m in enumerate(self.n_categories):
+            ref = references[:, r]
+            mismatch = (np.arange(m + 1)[:, None] != ref[None, :]) | (ref[None, :] < 0)
+            table = np.where(mismatch, weights[r], 0.0)
+            col = self.codes[:, r]
+            dist += table[np.where(col >= 0, col, m)]
+        return dist
 
     def nonempty_clusters(self) -> np.ndarray:
         """Indices of clusters that currently contain at least one object."""

@@ -1,4 +1,4 @@
-"""Packed, fully vectorised frequency-table backends.
+"""The packed, fully vectorised frequency-table backend.
 
 The per-feature count tables ``counts[r]`` of shape ``(k, m_r)`` are
 flattened into one ``(k, M)`` matrix with ``M = sum_r m_r`` and per-feature
@@ -47,8 +47,8 @@ the full vectors in object order, exactly as over an unblocked sweep.
 
 MGCPL's reassignment after a granularity level (``nearest_clusters``) walks
 the same blocks with one buffer, encoding each block's one-hot afresh and
-reducing only the stranded rows, so no ``(n, k)`` array — and on
-:class:`DenseEngine` no second full one-hot — exists at any point of a fit.
+reducing only the stranded rows, so no ``(n, k)`` array exists at any point
+of a fit.
 
 A block holds :data:`SWEEP_BLOCK_BYTES` of ``(rows, k)`` float64 scores, but
 never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer than
@@ -61,14 +61,16 @@ that sums the trailing cluster columns in another order (at ``k = 19`` and
 ``M = 30``, blocks below ~1750 rows differ in about two thirds of the
 rows).  Above both floors a block reproduces the full ``onehot @ weights``
 — itself equal to the per-feature, loop-order sum — bit for bit.
+``similarity_matrix`` walks the same blocks.
 
-Two production backends share this machinery:
-
-* :class:`DenseEngine` — materialises (and caches) the full ``(n, M)``
-  one-hot matrix; fastest when it fits in memory.
-* :class:`ChunkedEngine` — streams objects through the same kernels in
-  blocks of ``chunk_size`` rows, bounding peak similarity memory at
-  ``O(chunk * (M + k))`` for Fig. 6-scale and larger ``n``.
+Bounded memory
+--------------
+An engine caches the ``(n, M)`` one-hot of its own codes while it has at
+most :data:`ONEHOT_MAX_CELLS` cells (512 MB of float64), and slices each
+block from it.  Above that every block is encoded afresh, so peak memory
+is ``O(rows * (M + k))`` whatever ``n`` is; the bits are the same either
+way.  CAME's weighted Hamming assignment needs no one-hot at all
+(:meth:`~repro.engine.base.FrequencyEngine.hamming_distances`).
 """
 
 from __future__ import annotations
@@ -87,6 +89,10 @@ from repro.engine.state import (
     expand_per_feature,
 )
 from repro.utils.validation import check_array_2d, check_positive_int
+
+#: ``n * M`` one-hot cells up to which an engine caches its codes' whole
+#: one-hot (64M float64 cells = 512 MB); above it each block is encoded afresh.
+ONEHOT_MAX_CELLS = 1 << 26
 
 #: Byte budget of one fused-sweep block's ``(rows, k)`` float64 scores.
 SWEEP_BLOCK_BYTES = 4 << 20
@@ -213,7 +219,14 @@ class OneHotCache:
 
 
 class PackedFrequencyEngine(FrequencyEngine):
-    """Shared packed-layout machinery of the vectorised backends.
+    """Packed counts, BLAS similarity kernels and MGCPL's blocked sweep.
+
+    The ``dense`` engine, and the layout :class:`~repro.engine.compiled.
+    CompiledEngine` builds on.  The one-hot of the engine's own codes is
+    cached while it has at most :data:`ONEHOT_MAX_CELLS` cells and encoded
+    one row block at a time above that (module docstring); the results are
+    bit-identical either way, and to
+    :class:`~repro.engine.reference.LoopEngine` at any ``d``.
 
     Attributes
     ----------
@@ -251,6 +264,8 @@ class PackedFrequencyEngine(FrequencyEngine):
         self.valid_counts = np.zeros((self.n_clusters, d), dtype=np.float64)
         self.sizes = np.zeros(self.n_clusters, dtype=np.float64)
         self._packed_codes = self.pack(self.codes)
+        self._onehot: Optional[np.ndarray] = None
+        self._caches_one_hot = n * self.n_values <= ONEHOT_MAX_CELLS
 
     # ------------------------------------------------------------------ #
     # Packed-layout helpers
@@ -300,7 +315,8 @@ class PackedFrequencyEngine(FrequencyEngine):
         codes — and the cached one-hot encoding, when one has been
         materialised — are extended incrementally, which is what lets a
         resident streaming shard absorb new rows without re-encoding its
-        whole history.
+        whole history.  A one-hot that would grow past
+        :data:`ONEHOT_MAX_CELLS` is dropped instead.
         """
         codes = check_array_2d(codes, "codes", dtype=np.int64)
         if codes.shape[1] != self.codes.shape[1]:
@@ -309,11 +325,13 @@ class PackedFrequencyEngine(FrequencyEngine):
                 f"engine has {self.codes.shape[1]}"
             )
         packed_new = self.pack(codes)  # validates the vocabulary
-        onehot = getattr(self, "_onehot", None)
         self.codes = np.concatenate([self.codes, codes])
         self._packed_codes = np.concatenate([self._packed_codes, packed_new])
-        if onehot is not None:
-            self._onehot = np.concatenate([onehot, self._one_hot(packed_new)])
+        self._caches_one_hot = self.codes.shape[0] * self.n_values <= ONEHOT_MAX_CELLS
+        if not self._caches_one_hot:
+            self._onehot = None
+        elif self._onehot is not None:
+            self._onehot = np.concatenate([self._onehot, self._one_hot(packed_new)])
             if self._onehot_cache is not None:
                 # Re-key under the new codes identity so the next engine
                 # built over this (now longer) matrix hits the cache.
@@ -487,10 +505,6 @@ class PackedFrequencyEngine(FrequencyEngine):
             np.put(sims, rows * self.n_clusters + own[rows], loo[rows])
         return sims
 
-    def _block_size(self, n: int) -> int:
-        """Rows per similarity block (``n`` = whole thing in one shot)."""
-        return max(n, 1)
-
     def similarity_matrix(
         self,
         codes=None,
@@ -500,7 +514,6 @@ class PackedFrequencyEngine(FrequencyEngine):
         own_codes = codes is None
         if own_codes:
             packed_codes = self._packed_codes
-            n = packed_codes.shape[0]
         else:
             codes = check_array_2d(codes, "codes", dtype=np.int64)
             if codes.shape[1] != self.codes.shape[1]:
@@ -508,7 +521,7 @@ class PackedFrequencyEngine(FrequencyEngine):
                     f"codes has {codes.shape[1]} features, expected {self.codes.shape[1]}"
                 )
             packed_codes = self.pack(codes)
-            n = packed_codes.shape[0]
+        n = packed_codes.shape[0]
         own = loo = None
         if exclude_labels is not None:
             own = np.asarray(exclude_labels, dtype=np.int64)
@@ -520,15 +533,12 @@ class PackedFrequencyEngine(FrequencyEngine):
             )
 
         column_weights = self._column_weights(feature_weights)
-        block = self._block_size(n)
-        if own_codes and block >= n:
-            return self._similarity_block(self._cached_one_hot(), column_weights, own, loo)
-
+        onehot = self._cached_one_hot() if own_codes else None
         sims = np.empty((n, self.n_clusters), dtype=np.float64)
-        for start in range(0, n, block):
-            part = slice(start, min(start + block, n))
+        for start, stop in sweep_blocks(n, self.n_clusters, self.n_values):
+            part = slice(start, stop)
             self._similarity_block(
-                self._one_hot(packed_codes[part]),
+                self._block_one_hot(packed_codes, part, onehot),
                 column_weights,
                 None if own is None else own[part],
                 None if loo is None else loo[part],
@@ -536,16 +546,17 @@ class PackedFrequencyEngine(FrequencyEngine):
             )
         return sims
 
-    def _cached_one_hot(self) -> np.ndarray:
-        """One-hot of the engine's own codes (codes are immutable — cache it).
+    def _cached_one_hot(self) -> Optional[np.ndarray]:
+        """One-hot of the engine's own codes, or ``None`` above the cell cap.
 
-        With a shared :class:`OneHotCache` the encoding also survives this
-        engine: a later engine over the *same* codes array and vocabulary
-        (next epoch of the granularity ladder, next restart of a trial)
-        reuses it instead of re-encoding.
+        The codes are immutable, so the encoding is built once.  With a
+        shared :class:`OneHotCache` it also survives this engine: a later
+        engine over the *same* codes array and vocabulary (next epoch of the
+        granularity ladder, next restart of a trial) reuses it instead of
+        re-encoding.
         """
-        cached = getattr(self, "_onehot", None)
-        if cached is None:
+        if self._onehot is None and self._caches_one_hot:
+            cached = None
             if self._onehot_cache is not None:
                 cached = self._onehot_cache.lookup(self.codes, self.n_categories)
             if cached is None:
@@ -553,7 +564,13 @@ class PackedFrequencyEngine(FrequencyEngine):
                 if self._onehot_cache is not None:
                     self._onehot_cache.store(self.codes, self.n_categories, cached)
             self._onehot = cached
-        return cached
+        return self._onehot
+
+    def _block_one_hot(
+        self, packed_codes: np.ndarray, part: slice, onehot: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """One-hot of rows ``part``: a slice of ``onehot``, or encoded afresh."""
+        return self._one_hot(packed_codes[part]) if onehot is None else onehot[part]
 
     def similarity_object(
         self,
@@ -608,9 +625,7 @@ class PackedFrequencyEngine(FrequencyEngine):
         loo = self._loo_own_similarity(
             self._cached_loo_cells(), np.maximum(labels, 0), self._loo_table(omega)
         )
-        # Engines that stream similarity blocks (chunked) encode each block
-        # afresh; the others slice their cached one-hot.
-        onehot = self._cached_one_hot() if self._block_size(n) >= n else None
+        onehot = self._cached_one_hot()
         blocks = sweep_blocks(n, self.n_clusters, self.n_values)
         rows = max(stop - start for start, stop in blocks)
         sims_buffer = np.empty((rows, self.n_clusters), dtype=np.float64)
@@ -624,7 +639,7 @@ class PackedFrequencyEngine(FrequencyEngine):
         for start, stop in blocks:
             part = slice(start, stop)
             sims = self._similarity_block(
-                self._one_hot(self._packed_codes[part]) if onehot is None else onehot[part],
+                self._block_one_hot(self._packed_codes, part, onehot),
                 column_weights,
                 labels[part],
                 loo[part],
@@ -703,74 +718,3 @@ class PackedFrequencyEngine(FrequencyEngine):
     # ------------------------------------------------------------------ #
     def modes(self) -> np.ndarray:
         return counts_modes(self.packed, self.valid_counts, self.n_categories)
-
-    def hamming_distances(
-        self, references, feature_weights: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        references = check_array_2d(references, "references", dtype=np.int64)
-        d = self.codes.shape[1]
-        if references.shape[1] != d:
-            raise ValueError(f"references has {references.shape[1]} features, expected {d}")
-        if feature_weights is None:
-            weights = np.ones(d, dtype=np.float64)
-        else:
-            weights = np.asarray(feature_weights, dtype=np.float64).ravel()
-            if weights.shape[0] != d:
-                raise ValueError(f"feature_weights must have length {d}")
-        q = references.shape[0]
-        ref_packed = self.pack(references)
-        ref_weights = np.zeros((self.n_values, q), dtype=np.float64)
-        mask = ref_packed >= 0
-        cols = np.broadcast_to(np.arange(q)[:, None], (q, d))
-        ref_weights[ref_packed[mask], cols[mask]] = np.broadcast_to(weights, (q, d))[mask]
-
-        n = self.codes.shape[0]
-        block = self._block_size(n)
-        total = weights.sum()
-        if block >= n:
-            return total - self._cached_one_hot() @ ref_weights
-        dist = np.empty((n, q), dtype=np.float64)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            dist[start:stop] = total - self._one_hot(self._packed_codes[start:stop]) @ ref_weights
-        return dist
-
-
-class DenseEngine(PackedFrequencyEngine):
-    """Default packed backend: BLAS kernels over a cached one-hot.
-
-    The ``(n, M)`` one-hot encoding of the (immutable) data matrix is built
-    once and reused.  ``similarity_matrix`` is one whole-matrix multiply plus
-    the table-driven leave-one-out correction; MGCPL's sweep
-    (``competitive_sweep``) runs the same kernel over row slices of the
-    cached one-hot, fused with scoring and selection, so its two
-    ``(rows, k)`` buffers stay cache-sized.  Blocks are never thinner than
-    :func:`sweep_rows`, because thinner BLAS products do not reproduce the
-    whole-matrix bits.  Above that floor the sweep is bit-identical to
-    :class:`~repro.engine.reference.LoopEngine` at any ``d``.
-    """
-
-
-class ChunkedEngine(PackedFrequencyEngine):
-    """Packed backend that streams objects in blocks to bound peak memory.
-
-    Similarity and Hamming kernels process ``chunk_size`` objects at a time,
-    so peak additional memory is ``O(chunk_size * (M + k))`` regardless of
-    ``n`` — the right backend for Fig. 6-scale data (``n`` in the hundreds of
-    thousands) and beyond.  The fused sweep encodes each of its own row
-    blocks (:func:`sweep_blocks`) instead of caching the full one-hot.
-    """
-
-    def __init__(
-        self,
-        codes,
-        n_categories: Sequence[int],
-        n_clusters: int,
-        chunk_size: int = 8192,
-        onehot_cache: Optional[OneHotCache] = None,
-    ) -> None:
-        super().__init__(codes, n_categories, n_clusters, onehot_cache=onehot_cache)
-        self.chunk_size = check_positive_int(chunk_size, "chunk_size")
-
-    def _block_size(self, n: int) -> int:
-        return min(self.chunk_size, max(n, 1))

@@ -1,7 +1,7 @@
 """Per-feature loop reference backend.
 
-This is the original (seed) ``ClusterFrequencyTable`` implementation, kept
-verbatim behind the :class:`repro.engine.base.FrequencyEngine` protocol.  It
+This is the original (seed) per-feature frequency-table implementation,
+kept verbatim behind the :class:`repro.engine.base.FrequencyEngine` protocol.  It
 stores the counts as a Python list of ``d`` per-feature ``(k, m_r)`` arrays
 and loops over features, which makes it easy to audit against the paper's
 equations — the packed backends are property-tested against it
@@ -253,23 +253,3 @@ class LoopEngine(FrequencyEngine):
             has_any = counts.sum(axis=1) > 0
             out[has_any, r] = np.argmax(counts[has_any], axis=1)
         return out
-
-    def hamming_distances(
-        self, references, feature_weights: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        references = check_array_2d(references, "references", dtype=np.int64)
-        n, d = self.codes.shape
-        if references.shape[1] != d:
-            raise ValueError(f"references has {references.shape[1]} features, expected {d}")
-        weights = (
-            np.ones(d, dtype=np.float64)
-            if feature_weights is None
-            else np.asarray(feature_weights, dtype=np.float64).ravel()
-        )
-        dist = np.zeros((n, references.shape[0]), dtype=np.float64)
-        for r in range(d):
-            col = self.codes[:, r]
-            ref = references[:, r]
-            mismatch = (col[:, None] != ref[None, :]) | (col[:, None] < 0) | (ref[None, :] < 0)
-            dist += weights[r] * mismatch
-        return dist

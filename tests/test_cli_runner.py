@@ -261,6 +261,11 @@ class TestServingCLI:
         # the executor backends are listed too
         assert "executor backends" in out
         assert "serial" in out and "shm" in out and "tcp" in out
+        # "chunked" is listed as an alias of the dense engine, not as an engine
+        engines = out.split("frequency engines")[1].splitlines()
+        assert not any(line.startswith("chunked") for line in engines)
+        dense = next(line for line in engines if line.startswith("dense"))
+        assert "(aliases: chunked)" in dense
 
     def test_fit_then_predict_uci(self, tmp_path, capsys):
         model_path = tmp_path / "vot.npz"

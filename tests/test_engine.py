@@ -16,6 +16,9 @@ Two invariants protect every consumer of :mod:`repro.engine`:
   reference path over the whole similarity matrix, for every block layout,
   and to the ``LoopEngine`` oracle at d >= 8 (where a pairwise row sum would
   differ in the last bit).
+* **Streamed == cached** — a dense engine over the one-hot cell cap encodes
+  every block afresh and returns the same bits as one that caches its
+  one-hot.
 * **Blocked reassignment == whole-matrix reassignment** — MGCPL's
   stranded-member reassignment scores one row block at a time, gives the
   labels of the masked whole similarity matrix and never allocates an
@@ -31,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.compiled as compiled_mod
 import repro.engine.packed as packed_mod
 from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
 from repro.core.sync import (
@@ -40,17 +44,20 @@ from repro.core.sync import (
     mgcpl_sweep_local,
 )
 from repro.data.uci.registry import load_dataset
-from repro.distance.object_cluster import ClusterFrequencyTable
-from repro.engine import (
-    AUTO_DENSE_MAX_CELLS,
-    ChunkedEngine,
-    DenseEngine,
-    LoopEngine,
-    make_engine,
-    resolve_engine_kind,
-)
+from repro.engine import LoopEngine, PackedFrequencyEngine, make_engine, resolve_engine_kind
 
-PACKED_KINDS = ["dense", "chunked", "compiled"]
+#: The dense engine with its one-hot cap at 0 cells: every block is encoded afresh.
+STREAMED = "streamed"
+PACKED_KINDS = ["dense", STREAMED, "compiled"]
+
+
+def packed_engine(codes, cats, k, kind, **kwargs):
+    """:func:`make_engine`, building ``"streamed"`` as a dense engine over the cap."""
+    if kind != STREAMED:
+        return make_engine(codes, cats, k, kind=kind, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 0)
+        return make_engine(codes, cats, k, kind="dense", **kwargs)
 
 
 def random_problem(seed: int, n=60, d=5, k=4, missing=0.15):
@@ -64,8 +71,7 @@ def random_problem(seed: int, n=60, d=5, k=4, missing=0.15):
 
 
 def build_pair(kind: str, codes, cats, k, labels):
-    kwargs = {"chunk_size": 17} if kind == "chunked" else {}
-    packed = make_engine(codes, cats, k, kind=kind, labels=labels, **kwargs)
+    packed = packed_engine(codes, cats, k, kind, labels=labels)
     reference = make_engine(codes, cats, k, kind="loop", labels=labels)
     return packed, reference
 
@@ -86,7 +92,7 @@ class TestIncrementalMatchesRebuild:
     def test_update_sequence_is_bit_identical_to_rebuild(self, kind, seed):
         codes, cats, labels, rng = random_problem(seed)
         n, k = codes.shape[0], 4
-        engine = make_engine(codes, cats, k, kind=kind, labels=labels)
+        engine = packed_engine(codes, cats, k, kind, labels=labels)
         current = labels.copy()
 
         for _ in range(30):
@@ -104,7 +110,7 @@ class TestIncrementalMatchesRebuild:
                 engine.move(i, int(current[i]), target)
                 current[i] = target
 
-        rebuilt = make_engine(codes, cats, k, kind=kind, labels=current)
+        rebuilt = packed_engine(codes, cats, k, kind, labels=current)
         assert np.array_equal(engine.packed, rebuilt.packed)
         assert np.array_equal(engine.valid_counts, rebuilt.valid_counts)
         assert np.array_equal(engine.sizes, rebuilt.sizes)
@@ -115,7 +121,7 @@ class TestIncrementalMatchesRebuild:
     def test_bulk_moves_are_bit_identical_to_rebuild(self, kind, seed):
         codes, cats, labels, rng = random_problem(seed)
         n, k = codes.shape[0], 4
-        engine = make_engine(codes, cats, k, kind=kind, labels=labels)
+        engine = packed_engine(codes, cats, k, kind, labels=labels)
 
         idx = rng.choice(n, size=n // 2, replace=False)
         targets = rng.integers(0, k, size=idx.size)
@@ -123,7 +129,7 @@ class TestIncrementalMatchesRebuild:
         new_labels = labels.copy()
         new_labels[idx] = targets
 
-        rebuilt = make_engine(codes, cats, k, kind=kind, labels=new_labels)
+        rebuilt = packed_engine(codes, cats, k, kind, labels=new_labels)
         assert np.array_equal(engine.packed, rebuilt.packed)
         assert np.array_equal(engine.valid_counts, rebuilt.valid_counts)
         assert np.array_equal(engine.sizes, rebuilt.sizes)
@@ -198,15 +204,12 @@ class TestPackedMatchesReference:
         d = codes.shape[1]
         engine, reference = build_pair(kind, codes, cats, 4, labels)
         refs = np.stack([rng.integers(0, m, size=6) for m in cats], axis=1)
+        refs[rng.random(refs.shape) < 0.15] = -1
         theta = rng.random(d)
-        assert np.allclose(
-            engine.hamming_distances(refs, theta),
-            reference.hamming_distances(refs, theta),
-            atol=1e-12,
+        assert np.array_equal(
+            engine.hamming_distances(refs, theta), reference.hamming_distances(refs, theta)
         )
-        assert np.allclose(
-            engine.hamming_distances(refs), reference.hamming_distances(refs), atol=1e-12
-        )
+        assert np.array_equal(engine.hamming_distances(refs), reference.hamming_distances(refs))
 
 
 @pytest.mark.parametrize("abbrev", ["Car", "Con", "Vot", "Bal"])
@@ -241,15 +244,18 @@ def test_parity_on_seed_uci_datasets(abbrev, kind):
 
 
 class TestBackendSelection:
-    def test_auto_resolves_by_one_hot_footprint(self):
+    def test_auto_resolves_to_dense_at_any_size(self, monkeypatch):
+        monkeypatch.setattr(compiled_mod, "NUMBA_AVAILABLE", False)
+        cap = packed_mod.ONEHOT_MAX_CELLS
         assert resolve_engine_kind("auto", 100, 50) == "dense"
-        assert resolve_engine_kind("auto", AUTO_DENSE_MAX_CELLS, 2) == "chunked"
-        assert resolve_engine_kind("dense", AUTO_DENSE_MAX_CELLS, 2) == "dense"
+        assert resolve_engine_kind("auto", cap, 2) == "dense"
+        assert resolve_engine_kind("chunked", cap, 2) == "dense"
 
     def test_make_engine_kinds(self):
         codes, cats, labels, _ = random_problem(3)
-        assert isinstance(make_engine(codes, cats, 4, kind="dense"), DenseEngine)
-        assert isinstance(make_engine(codes, cats, 4, kind="chunked"), ChunkedEngine)
+        assert type(make_engine(codes, cats, 4, kind="dense")) is PackedFrequencyEngine
+        # "chunked" is an alias: saved models' params still carry it.
+        assert type(make_engine(codes, cats, 4, kind="chunked")) is PackedFrequencyEngine
         assert isinstance(make_engine(codes, cats, 4, kind="loop"), LoopEngine)
 
     def test_unknown_kind_rejected(self):
@@ -274,11 +280,50 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="vocabular"):
             engine.hamming_distances(bad)
 
-    def test_chunked_engine_streams_in_blocks(self):
-        codes, cats, labels, _ = random_problem(11, n=100)
-        chunked = make_engine(codes, cats, 4, kind="chunked", labels=labels, chunk_size=7)
-        dense = make_engine(codes, cats, 4, kind="dense", labels=labels)
-        assert np.allclose(chunked.similarity_matrix(), dense.similarity_matrix(), atol=1e-12)
+    def test_streamed_engine_matches_cached_over_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        k = 19
+        _, n, n_blocks = layout("uneven", k)
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == n_blocks
+        codes, labels, broadcast = sweep_problem(11, n, k, False, True)
+        cached = make_engine(codes, SWEEP_CATS, k, kind="dense")
+        streamed = packed_engine(codes, SWEEP_CATS, k, STREAMED)
+        assert not streamed._caches_one_hot
+        for engine in (cached, streamed):
+            engine.restore(broadcast.state)
+        for kwargs in ({}, {"feature_weights": broadcast.omega, "exclude_labels": labels}):
+            assert np.array_equal(
+                streamed.similarity_matrix(**kwargs), cached.similarity_matrix(**kwargs)
+            )
+        assert cached._onehot is not None and streamed._onehot is None
+        rows = np.flatnonzero(labels % 3 == 0)
+        allowed = ~broadcast.blocked
+        assert np.array_equal(
+            streamed.nearest_clusters(rows, allowed, broadcast.omega),
+            cached.nearest_clusters(rows, allowed, broadcast.omega),
+        )
+        assert_updates_identical(
+            mgcpl_sweep_local(streamed, labels, broadcast),
+            mgcpl_sweep_local(cached, labels, broadcast),
+        )
+
+    def test_append_rows_past_the_cap_drops_the_one_hot(self, monkeypatch):
+        codes, cats, labels, _ = random_problem(12, n=100)
+        labels[60:] = -1  # appended rows arrive unassigned
+        engine = make_engine(codes[:60], cats, 4, kind="dense", labels=labels[:60])
+        engine.similarity_matrix()
+        assert engine._onehot is not None
+        monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 80 * engine.n_values)
+        engine.append_rows(codes[60:])
+        assert engine._onehot is None and not engine._caches_one_hot
+        monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 1 << 26)
+        fresh = make_engine(codes, cats, 4, kind="dense", labels=labels)
+        assert np.array_equal(engine.similarity_matrix(), fresh.similarity_matrix())
+        assert np.array_equal(
+            engine.similarity_matrix(exclude_labels=labels),
+            fresh.similarity_matrix(exclude_labels=labels),
+        )
+        assert engine._onehot is None and fresh._onehot is not None
 
 
 class _NumPyPath:
@@ -354,7 +399,7 @@ def assert_updates_identical(a, b):
 
 class TestBlockedSweep:
     @pytest.mark.parametrize("layout_name", ["one-block", "exact-multiple", "uneven"])
-    @pytest.mark.parametrize("kind", ["dense", "chunked"])
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
     @pytest.mark.parametrize("k", [5, 19, 224])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("first_sweep", [False, True])
@@ -367,14 +412,12 @@ class TestBlockedSweep:
         blocks = packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))
         assert len(blocks) == n_blocks
         codes, labels, broadcast = sweep_problem(k + n, n, k, first_sweep, weighted)
-        blocked = make_engine(codes, SWEEP_CATS, k, kind=kind)
-        # A chunk of all n rows makes the chunked similarity one product too.
-        whole_kwargs = {"chunk_size": n} if kind == "chunked" else {}
-        whole = make_engine(codes, SWEEP_CATS, k, kind=kind, **whole_kwargs)
-        assert_updates_identical(
-            mgcpl_sweep_local(blocked, labels, broadcast),
-            mgcpl_sweep_local(_NumPyPath(whole), labels, broadcast),
-        )
+        blocked = packed_engine(codes, SWEEP_CATS, k, kind)
+        update = mgcpl_sweep_local(blocked, labels, broadcast)
+        # One block makes the similarity matrix one whole product.
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", ONE_BLOCK)
+        whole = packed_engine(codes, SWEEP_CATS, k, kind)
+        assert_updates_identical(update, mgcpl_sweep_local(_NumPyPath(whole), labels, broadcast))
 
     def test_sweep_blocks_layout(self, monkeypatch):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
@@ -413,7 +456,7 @@ class TestBlockedSweep:
             broadcast.state = one.state
 
 
-    @pytest.mark.parametrize("kind", ["dense", "chunked"])
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_loop_oracle_at_twelve_features(self, monkeypatch, kind, weighted):
         """At d=12 the own-cluster similarity adds its features in loop order.
@@ -433,7 +476,7 @@ class TestBlockedSweep:
             labels, broadcast.state = update.labels, update.state
         assert len(packed_mod.sweep_blocks(n, k, sum(cats))) == 3
         assert_updates_identical(
-            mgcpl_sweep_local(make_engine(codes, cats, k, kind=kind), labels, broadcast),
+            mgcpl_sweep_local(packed_engine(codes, cats, k, kind), labels, broadcast),
             mgcpl_sweep_local(loop, labels, broadcast),
         )
 
@@ -466,12 +509,14 @@ def reassign_problem(seed, n, k, stranded_set):
 
 
 def whole_matrix_reassignment(codes, labels, alive, omega, kind):
-    """The reference: argmax of the masked whole similarity matrix."""
+    """The reference: argmax of the masked whole similarity matrix.
+
+    Call it with the budget at ``ONE_BLOCK``, so that the similarity matrix
+    is one product.
+    """
     stranded = (labels < 0) | ~alive[np.clip(labels, 0, alive.size - 1)]
-    kwargs = {"chunk_size": codes.shape[0]} if kind == "chunked" else {}
-    table = make_engine(
-        codes, SWEEP_CATS, alive.size, kind=kind,
-        labels=np.where(stranded, -1, labels), **kwargs,
+    table = packed_engine(
+        codes, SWEEP_CATS, alive.size, kind, labels=np.where(stranded, -1, labels)
     )
     allowed = alive & (table.sizes > 0)
     if not allowed.any():
@@ -484,22 +529,26 @@ def whole_matrix_reassignment(codes, labels, alive, omega, kind):
 
 class TestBlockedReassignment:
     @pytest.mark.parametrize("stranded_set", STRANDED_SETS)
-    @pytest.mark.parametrize("kind", ["dense", "chunked"])
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_whole_matrix_reassignment(self, monkeypatch, stranded_set, kind, weighted):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         k = 19
         _, n, n_blocks = layout("uneven", k)
-        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == n_blocks
         codes, labels, alive = reassign_problem(n + k, n, k, stranded_set)
         omega = np.random.default_rng(n).random((len(SWEEP_CATS), k)) if weighted else None
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", ONE_BLOCK)
         expected, stranded, allowed = whole_matrix_reassignment(codes, labels, alive, omega, kind)
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == n_blocks
         n_stranded = {"all": n, "none": 0, "fewer-than-a-block": 10}.get(stranded_set)
         if n_stranded is not None:
             assert stranded.sum() == n_stranded
         else:
             assert (alive & ~allowed).sum() == 2
-        estimator = MGCPL(engine=kind, use_feature_weights=weighted)
+        if kind == STREAMED:
+            monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 0)
+        estimator = MGCPL(engine="dense", use_feature_weights=weighted)
         got = estimator._reassign_dead_members(codes, SWEEP_CATS, labels, alive, omega)
         assert np.array_equal(got, expected)
 
@@ -521,24 +570,3 @@ class TestBlockedReassignment:
         assert alive[got].all()
         assert peak < n * k * 8, f"peak {peak / 2**20:.1f} MiB >= one n x k matrix"
 
-
-class TestCompatibilityShim:
-    def test_cluster_frequency_table_is_packed(self):
-        codes, cats, labels, _ = random_problem(5)
-        table = ClusterFrequencyTable.from_labels(codes, labels, 4, cats)
-        assert isinstance(table, DenseEngine)
-
-    def test_counts_and_valid_are_live_views(self):
-        codes, cats, labels, _ = random_problem(6)
-        table = ClusterFrequencyTable.from_labels(codes, labels, 4, cats)
-        counts_before = [c.copy() for c in table.counts]
-        i = int(np.flatnonzero(labels < 0)[0]) if (labels < 0).any() else 0
-        if labels[i] >= 0:
-            table.remove(i, int(labels[i]))
-        table.add(i, 2)
-        changed = any(
-            not np.array_equal(before, after)
-            for before, after in zip(counts_before, table.counts)
-        )
-        assert changed
-        assert np.array_equal(table.valid, table.valid_counts.T)

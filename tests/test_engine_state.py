@@ -4,10 +4,20 @@ shard-then-merge exactness the sharded runtime rests on."""
 import numpy as np
 import pytest
 
+import repro.engine.packed as packed_mod
 from repro.core.sync import contiguous_shards
 from repro.engine import EngineState, make_engine
 
-KINDS = ("dense", "chunked", "loop")
+#: ``"streamed"`` is the dense engine with its one-hot cap at 0 cells.
+KINDS = ("dense", "streamed", "loop")
+
+
+def _engine_kind(monkeypatch, kind: str) -> str:
+    """The ``make_engine`` kind of a test kind (see :data:`KINDS`)."""
+    if kind == "streamed":
+        monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 0)
+        return "dense"
+    return kind
 
 
 def _problem(seed: int, n: int = 120, d: int = 5, k: int = 7, missing: float = 0.1):
@@ -24,7 +34,8 @@ def _problem(seed: int, n: int = 120, d: int = 5, k: int = 7, missing: float = 0
 
 class TestSnapshotRestore:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_round_trip_is_bit_identical(self, kind):
+    def test_round_trip_is_bit_identical(self, monkeypatch, kind):
+        kind = _engine_kind(monkeypatch, kind)
         codes, cats, labels, k = _problem(0)
         engine = make_engine(codes, cats, k, kind=kind, labels=labels)
         state = engine.snapshot()
@@ -38,7 +49,8 @@ class TestSnapshotRestore:
         )
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_snapshot_is_a_copy(self, kind):
+    def test_snapshot_is_a_copy(self, monkeypatch, kind):
+        kind = _engine_kind(monkeypatch, kind)
         codes, cats, labels, k = _problem(1)
         engine = make_engine(codes, cats, k, kind=kind, labels=labels)
         state = engine.snapshot()
@@ -71,8 +83,9 @@ class TestSnapshotRestore:
 
 class TestShardMerge:
     @pytest.mark.parametrize("n_shards", [2, 3, 4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("kind", ["dense", "chunked"])
-    def test_merge_bit_identical_to_single_process(self, n_shards, kind):
+    @pytest.mark.parametrize("kind", ["dense", "streamed"])
+    def test_merge_bit_identical_to_single_process(self, monkeypatch, n_shards, kind):
+        kind = _engine_kind(monkeypatch, kind)
         codes, cats, labels, k = _problem(n_shards, n=233)
         full = make_engine(codes, cats, k, kind=kind, labels=labels).snapshot()
 
@@ -113,7 +126,8 @@ class TestShardMerge:
 
 class TestCountOnlyStatistics:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_state_stats_match_engine(self, kind):
+    def test_state_stats_match_engine(self, monkeypatch, kind):
+        kind = _engine_kind(monkeypatch, kind)
         codes, cats, labels, k = _problem(6)
         engine = make_engine(codes, cats, k, kind=kind, labels=labels)
         state = engine.snapshot()

@@ -124,6 +124,22 @@ class TestContractOverRegistry:
             model.predict(train_dataset)
 
 
+class TestChunkedEngineAlias:
+    def test_chunked_model_round_trips_and_refits(self, train_dataset, heldout_codes, tmp_path):
+        """``"chunked"`` — a separate engine once — still loads and fits as dense."""
+        model = MCDC(n_clusters=3, engine="chunked", random_state=0).fit(train_dataset)
+        dense = MCDC(n_clusters=3, engine="dense", random_state=0).fit(train_dataset)
+        np.testing.assert_array_equal(model.labels_, dense.labels_)
+
+        path = tmp_path / "chunked.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.get_params()["engine"] == "chunked"
+        np.testing.assert_array_equal(loaded.predict(heldout_codes), model.predict(heldout_codes))
+        loaded.fit(train_dataset)
+        np.testing.assert_array_equal(loaded.labels_, model.labels_)
+
+
 class TestPredictSemantics:
     def test_unseen_codes_treated_as_missing(self, train_dataset):
         model = MCDC(n_clusters=3, random_state=0).fit(train_dataset)
