@@ -115,8 +115,6 @@ def online_competition_step(
     ``delta`` (Eqs. 11-13) and accumulate the sweep's starvation statistics —
     exactly as the serial online reference.  The caller applies the
     assignment move; ``delta`` and the accumulators are mutated in place.
-    Shared by :meth:`MGCPL._epoch_online` and the streaming runtime's
-    block-parallel replay, which is what makes the two bit-identical.
     """
     u = cluster_weight_from_delta(delta)
     scores = (1.0 - rho) * u * sims
@@ -240,11 +238,6 @@ class MGCPL(BaseClusterer):
         Labels of the coarsest level (``k_sigma`` clusters).
     """
 
-    #: Subclasses that drive online epochs through a shard executor (the
-    #: streaming runtime) flip this so ``_fit`` builds one up front; the base
-    #: serial online path never touches an executor.
-    _executor_in_online_mode = False
-
     def __init__(
         self,
         k0: Optional[int] = None,
@@ -312,8 +305,7 @@ class MGCPL(BaseClusterer):
 
         executor = (
             self._make_executor(codes, n_categories)
-            if self.update_mode == "batch" or self._executor_in_online_mode
-            else None
+            if self.update_mode == "batch" else None
         )
         try:
             k_old = -1
@@ -429,7 +421,7 @@ class MGCPL(BaseClusterer):
                 )
         else:
             labels, delta, n_sweeps = self._epoch_online(
-                codes, n_categories, labels_init, k, rng, executor
+                codes, n_categories, labels_init, k, rng
             )
 
         surviving = np.unique(labels)
@@ -644,7 +636,6 @@ class MGCPL(BaseClusterer):
         labels_init: np.ndarray,
         k: int,
         rng: np.random.Generator,
-        executor=None,
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Faithful object-at-a-time epoch (Algorithm 1 lines 4-12).
 

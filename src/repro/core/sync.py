@@ -268,85 +268,6 @@ class ShardWorker:
         self.labels = np.argmin(distances, axis=1).astype(np.int64)
         return self.labels
 
-    # ------------------------------------------------------------------ #
-    # Streaming verbs (resident, append-capable shards)
-    # ------------------------------------------------------------------ #
-    def append(self, codes: np.ndarray) -> int:
-        """Absorb new rows into the resident shard; returns the new row count.
-
-        Appended rows arrive unassigned (label ``-1``); cluster statistics
-        are untouched until the next epoch/sweep visits them.  When a live
-        engine supports in-place extension the one-hot encoding and packed
-        codes grow incrementally; otherwise the engine is dropped and
-        rebuilt lazily at the next ``begin_epoch``.
-        """
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        if codes.ndim != 2 or codes.shape[1] != len(self.n_categories):
-            raise ValueError(
-                f"appended codes must be 2-d with {len(self.n_categories)} "
-                f"features, got shape {codes.shape}"
-            )
-        if self.engine is not None and hasattr(self.engine, "append_rows"):
-            self.engine.append_rows(codes)
-            self.codes = self.engine.codes
-        else:
-            self.codes = np.concatenate([self.codes, codes])
-            self.engine = None
-        if self.labels is not None:
-            self.labels = np.concatenate(
-                [self.labels, np.full(codes.shape[0], -1, dtype=np.int64)]
-            )
-        return int(self.codes.shape[0])
-
-    def split(self, n_keep: int) -> int:
-        """Truncate the resident shard to its first ``n_keep`` rows.
-
-        The coordinator re-homes the tail rows on another worker; the engine
-        is dropped (its statistics describe rows this worker no longer owns)
-        and rebuilt at the next ``begin_epoch`` over the kept rows only.
-        """
-        n_keep = int(n_keep)
-        if not 0 < n_keep < self.codes.shape[0]:
-            raise ValueError(
-                f"n_keep must be in (0, {self.codes.shape[0]}), got {n_keep}"
-            )
-        self.codes = np.ascontiguousarray(self.codes[:n_keep])
-        self.engine = None
-        if self.labels is not None:
-            self.labels = self.labels[:n_keep].copy()
-        return int(self.codes.shape[0])
-
-    def online_sims(
-        self,
-        rows: np.ndarray,
-        exclude: np.ndarray,
-        state: EngineState,
-        omega: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Similarity vectors of local ``rows`` against a broadcast state.
-
-        The streaming coordinator's mini-batch online mode: the engine is
-        restored to the coordinator's live global counts, then each listed
-        local row gets the exact serial ``similarity_object`` treatment
-        (including the leave-one-out correction for its own cluster in
-        ``exclude``).  Returns a ``(len(rows), k)`` matrix.
-        """
-        if self.engine is None:
-            raise RuntimeError("online_sims requires begin_epoch first")
-        self.engine.restore(state)
-        rows = np.asarray(rows, dtype=np.int64)
-        exclude = np.asarray(exclude, dtype=np.int64)
-        if rows.shape != exclude.shape:
-            raise ValueError("rows and exclude must have the same shape")
-        out = np.empty((rows.size, state.n_clusters), dtype=np.float64)
-        for j in range(rows.size):
-            out[j] = self.engine.similarity_object(
-                self.codes[rows[j]],
-                feature_weights=omega,
-                exclude_cluster=int(exclude[j]),
-            )
-        return out
-
 
 class InProcessShardExecutor:
     """Reference executor: runs every shard serially in the calling process.
@@ -408,15 +329,6 @@ class InProcessShardExecutor:
         for worker, idx in zip(self._workers, self.shard_indices):
             labels[idx] = worker.hamming_assign(modes, theta)
         return labels
-
-    def online_sims(self, state, rows_per_shard, exclude_per_shard, omega=None):
-        """Per-shard similarity blocks against a broadcast global state."""
-        return [
-            worker.online_sims(rows, exclude, state, omega)
-            for worker, rows, exclude in zip(
-                self._workers, rows_per_shard, exclude_per_shard
-            )
-        ]
 
     def close(self) -> None:
         """Nothing to tear down for in-process shards."""

@@ -203,8 +203,8 @@ def make_drift_stream(
     vocabulary (``n_categories`` values per feature), but between consecutive
     batches each (cluster, feature) pair re-draws its modal value with
     probability ``drift`` — the clusters keep their identities while their
-    signatures wander, which is the concept-drift regime a streaming runtime
-    has to track.  ``drift=0`` degenerates to a stationary stream.
+    signatures wander, which is the concept-drift regime ``ingest`` has to
+    track.  ``drift=0`` degenerates to a stationary stream.
 
     Fully seeded: the same ``random_state`` reproduces the same stream,
     batch for batch.  Each returned :class:`CategoricalDataset` carries its

@@ -15,11 +15,9 @@ transport-pluggable executor API (:mod:`repro.distributed.transport`:
 registry: in-process reference, one host, many hosts), the shared-memory
 single-host backend (:mod:`repro.distributed.shm`), the multi-host TCP
 backend (:mod:`repro.distributed.rpc` + :mod:`repro.distributed.resilience`:
-a ``repro worker`` server plus a fault-tolerant socket coordinator whose
-resident workers also take appends and splits), the
-``ShardedMGCPL`` / ``ShardedCAME`` / ``ShardedMCDC`` estimator wrappers
-(:mod:`repro.distributed.runtime`) and the streaming ``StreamingMGCPL``
-(:mod:`repro.distributed.streaming`) — alongside a lightweight simulated
+a ``repro worker`` server plus a fault-tolerant socket coordinator) and
+the ``ShardedMGCPL`` / ``ShardedCAME`` / ``ShardedMCDC`` estimator wrappers
+(:mod:`repro.distributed.runtime`) — alongside a lightweight simulated
 cluster substrate (nodes, workloads, a scheduler, pluggable execution
 backends) and the MCDC-guided partitioner with the metrics that quantify
 what the pre-partitioning preserves (locality, balance, consistency).
@@ -41,7 +39,6 @@ from repro.distributed.runtime import (
 )
 from repro.distributed.shardcache import ShardCache, parse_byte_size, shard_content_key
 from repro.distributed.shm import ShmExecutor
-from repro.distributed.streaming import StreamingCoordinator, StreamingMGCPL
 from repro.distributed.transport import (
     RemoteWorkerError,
     ShardExecutor,
@@ -78,8 +75,6 @@ __all__ = [
     "shard_content_key",
     "parse_byte_size",
     "ShmExecutor",
-    "StreamingCoordinator",
-    "StreamingMGCPL",
     "HeartbeatMonitor",
     "ResilientTCPExecutor",
     "RetryPolicy",

@@ -39,12 +39,6 @@ fact that shard state is an exact-mergeable
   needs no state transfer at all — ``begin_epoch`` rebuilds every engine
   anyway — so a move costs one (cache-friendly) handshake.
 
-* **Resident, evolving topology** — ``append_rows`` extends resident
-  workers in place and ``split_shard`` re-homes half of a hot shard, so the
-  streaming runtime (:mod:`repro.distributed.streaming`; ``"streaming"`` is
-  an alias of ``"tcp"``) feeds the same fleet.  A worker lost mid-append or
-  mid-split goes through the same re-placement loop as one lost mid-call.
-
 What is and is not bit-identical after recovery: batch MGCPL (and CAME's
 Hamming assignment, and ``rebuild``) replay exactly, because each call's
 result is a pure function of the shard codes, the broadcast state and the
@@ -65,7 +59,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Unio
 import numpy as np
 
 from repro.distributed.rpc import TCPExecutor, TCPTransport, ping_host
-from repro.distributed.shardcache import ShardCache, shard_content_key
+from repro.distributed.shardcache import ShardCache
 from repro.distributed.transport import (
     RemoteWorkerError,
     TransportError,
@@ -316,31 +310,8 @@ class ResilientTCPExecutor(TCPExecutor):
         When true, re-place shards at epoch boundaries using measured sweep
         throughput, the MCDC-grouping scheduler and the makespan cost model.
 
-    The shard topology can also evolve while workers stay resident (the
-    streaming runtime, :mod:`repro.distributed.streaming`, drives this):
-
-    ``append_rows``
-        Route a batch of new rows across the fleet (least-resident-rows
-        shard first, ties to the lowest shard index — deterministic) and
-        extend each target worker in place via the ``append`` verb.  The
-        coordinator's replay bookkeeping (shard indices, content keys,
-        tracked labels) is updated *before* the wire call, so a worker that
-        dies mid-append is recovered by a fresh handshake that ships the
-        shard *including* the new rows.
-    ``split_shard``
-        Re-home the tail half of a shard onto the least-loaded alive host:
-        the worker truncates in place (``split`` verb) and a new session is
-        opened for the tail rows, inheriting the live epoch when one is in
-        flight.  :meth:`hot_shards` names the shards over a row-count or
-        measured-time budget.
-
     Observability: :attr:`recovery_events` (one dict per recovered shard,
-    including wall-clock ``recovery_seconds``), :attr:`rebalance_events`,
-    :attr:`split_events` and :attr:`shard_seconds` (measured worker seconds
-    per shard, from sweeps and ``online_sims``).  Append payload bytes are
-    counted apart (:attr:`append_bytes_shipped`) from the handshake counter
-    ``payload_bytes_shipped``, which is what makes "a warm refit ships zero
-    shard payload bytes" a meaningful assertion.
+    including wall-clock ``recovery_seconds``) and :attr:`rebalance_events`.
     """
 
     #: Apply a rebalance only when the model predicts at least this win.
@@ -369,9 +340,6 @@ class ResilientTCPExecutor(TCPExecutor):
         self.rebalance = bool(rebalance)
         self.recovery_events: List[dict] = []
         self.rebalance_events: List[dict] = []
-        self.split_events: List[dict] = []
-        self.shard_seconds = [0.0] * self.n_shards
-        self.append_bytes_shipped = 0
         # Payload bytes shipped on transports that were since replaced (by a
         # recovery or a rebalance move); keeps transport_stats() cumulative.
         self._retired_payload_bytes = 0
@@ -466,8 +434,6 @@ class ResilientTCPExecutor(TCPExecutor):
             for i, update in enumerate(results):
                 self._shard_labels[i] = np.asarray(update.labels, dtype=np.int64)
             self._record_elapsed([idx.size for idx in self.shard_indices])
-        elif method == "online_sims":
-            self._record_elapsed([len(call[0]) for call in calls])
         elif method == "rebuild":
             for i, call in enumerate(calls):
                 self._shard_labels[i] = np.asarray(call[0], dtype=np.int64).copy()
@@ -482,7 +448,6 @@ class ResilientTCPExecutor(TCPExecutor):
             if elapsed:
                 self._host_rows[self.placement[i]] += float(rows[i])
                 self._host_seconds[self.placement[i]] += float(elapsed)
-                self.shard_seconds[i] += float(elapsed)
 
     # -- recovery ------------------------------------------------------- #
     def _connect_shard(self, index: int, host_index: int) -> TCPTransport:
@@ -508,18 +473,15 @@ class ResilientTCPExecutor(TCPExecutor):
         return min(candidates, key=lambda h: (loads[h], h))
 
     def _recover_shard(
-        self, index: int, method: str, call: Optional[tuple], error: TransportError
+        self, index: int, method: str, call: tuple, error: TransportError
     ):
         """Re-place shard ``index`` on a surviving host.
 
-        The fresh handshake ships (or cache-restores) the shard's *current*
-        rows, appends included, and when an epoch is live the replacement
-        replays it via ``begin_epoch`` with the tracked labels.  With a
-        ``call``, the interrupted protocol call is then resubmitted and its
-        result returned; that needs an epoch to replay unless the call is
-        ``begin_epoch`` itself.  With ``call=None`` (a failure outside a
-        protocol call: ``append``, ``split``) there is nothing to finish, so
-        it works before any epoch too and returns ``None``.
+        The fresh handshake ships (or cache-restores) the shard's rows, and
+        when an epoch is live the replacement replays it via ``begin_epoch``
+        with the tracked labels.  The interrupted protocol call is then
+        resubmitted and its result returned; that needs an epoch to replay
+        unless the call is ``begin_epoch`` itself.
 
         Raises :class:`TransportError` (embedding the original failure) when
         no surviving host can take the shard within the retry budget, or when
@@ -532,7 +494,7 @@ class ResilientTCPExecutor(TCPExecutor):
         if old is not None:
             self._retired_payload_bytes += old.payload_bytes_shipped
         close_all([old])
-        if call is not None and method != "begin_epoch" and self._n_clusters is None:
+        if method != "begin_epoch" and self._n_clusters is None:
             raise TransportError(
                 f"shard {index} lost its worker connection before any epoch "
                 f"began; nothing to replay: {error}"
@@ -548,17 +510,15 @@ class ResilientTCPExecutor(TCPExecutor):
                 time.sleep(delays[attempt - 1])
             attempts += 1
             transport = None
-            result = None
             try:
                 transport = self._connect_shard(index, target)
-                if method != "begin_epoch" and self._n_clusters is not None:
+                if method != "begin_epoch":
                     transport.submit(
                         "begin_epoch", (self._n_clusters, self._shard_labels[index])
                     )
                     transport.result()
-                if call is not None:
-                    transport.submit(method, call)
-                    result = transport.result()
+                transport.submit(method, call)
+                result = transport.result()
             except RemoteWorkerError:
                 if transport is not None:
                     close_all([transport])
@@ -587,158 +547,6 @@ class ResilientTCPExecutor(TCPExecutor):
             f"host could take it: {last_error}"
         ) from last_error
 
-    # -- appends ------------------------------------------------------------ #
-    def route_rows(self, n_rows: int) -> np.ndarray:
-        """Deterministic shard per new row: least resident rows, ties low."""
-        loads = [int(idx.size) for idx in self.shard_indices]
-        out = np.empty(int(n_rows), dtype=np.int64)
-        for j in range(int(n_rows)):
-            s = min(range(len(loads)), key=lambda i: (loads[i], i))
-            out[j] = s
-            loads[s] += 1
-        return out
-
-    def append_rows(self, batch: np.ndarray) -> np.ndarray:
-        """Absorb a batch into the resident fleet; returns each row's shard."""
-        batch = np.ascontiguousarray(batch, dtype=np.int64)
-        if batch.ndim != 2 or batch.shape[1] != len(self._n_categories):
-            raise ValueError(
-                f"appended batch must be 2-d with {len(self._n_categories)} "
-                f"features, got shape {batch.shape}"
-            )
-        if batch.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        start = self.n_objects
-        self._codes = np.concatenate([self._codes, batch])
-        self.n_objects = int(self._codes.shape[0])
-        shard_of = self.route_rows(batch.shape[0])
-        for s in range(self.n_shards):
-            sel = np.flatnonzero(shard_of == s)
-            if sel.size:
-                self._append_to_shard(s, start + sel)
-        return shard_of
-
-    def _append_to_shard(self, index: int, global_ids: np.ndarray) -> None:
-        rows = np.ascontiguousarray(self._codes[global_ids])
-        # Bookkeeping first: if the worker dies mid-append, recovery re-ships
-        # the shard from these (already extended) indices, so the appended
-        # rows replay for free.
-        self.shard_indices[index] = np.concatenate(
-            [self.shard_indices[index], np.asarray(global_ids, dtype=np.int64)]
-        )
-        self._refresh_content_key(index)
-        if self._shard_labels[index] is not None:
-            self._shard_labels[index] = np.concatenate(
-                [self._shard_labels[index], np.full(rows.shape[0], -1, dtype=np.int64)]
-            )
-        transport = self._transports[index]
-        try:
-            transport.submit("append", (rows,))
-            n_after = int(transport.result())
-        except RemoteWorkerError:
-            raise
-        except TransportError as exc:
-            self._recover_shard(index, "append", None, exc)
-        else:
-            if n_after != int(self.shard_indices[index].size):
-                raise TransportError(
-                    f"shard {index} reports {n_after} rows after append, "
-                    f"coordinator expects {self.shard_indices[index].size}"
-                )
-            self.append_bytes_shipped += int(rows.nbytes)
-
-    def _refresh_content_key(self, index: int) -> None:
-        rows = self._codes[self.shard_indices[index]]
-        self.content_keys[index] = shard_content_key(rows, self._n_categories)
-        if self.shard_cache is not None:
-            self.shard_cache.put(self.content_keys[index], rows, self._n_categories)
-
-    # -- hot-shard splitting ------------------------------------------------ #
-    def hot_shards(
-        self,
-        split_rows: Optional[int] = None,
-        split_seconds: Optional[float] = None,
-    ) -> List[int]:
-        """Shards exceeding a row-count or measured-time budget (splittable)."""
-        hot: List[int] = []
-        for i, idx in enumerate(self.shard_indices):
-            if idx.size < 2:
-                continue
-            if split_rows is not None and idx.size > int(split_rows):
-                hot.append(i)
-            elif split_seconds is not None and self.shard_seconds[i] > float(
-                split_seconds
-            ):
-                hot.append(i)
-        return hot
-
-    def split_shard(self, index: int, host: Optional[int] = None) -> int:
-        """Split shard ``index`` in half; returns the new (tail) shard index.
-
-        The worker keeps the first half in place; the tail rows get a fresh
-        session on ``host`` (default: the least-loaded alive host, the
-        recovery placement rule).  When an epoch is live both halves rebuild
-        their engines from the tracked labels, so a split at a block boundary
-        is invisible to the numerics — the global counts never change.
-        """
-        idx = self.shard_indices[index]
-        if idx.size < 2:
-            raise ValueError(f"shard {index} has {idx.size} row(s); cannot split")
-        keep = int(idx.size) // 2
-        head, tail = idx[:keep].copy(), idx[keep:].copy()
-        labels = self._shard_labels[index]
-        head_labels = None if labels is None else labels[:keep].copy()
-        tail_labels = None if labels is None else labels[keep:].copy()
-
-        # Truncate the resident worker (bookkeeping first, as for appends).
-        self.shard_indices[index] = head
-        self._shard_labels[index] = head_labels
-        self._refresh_content_key(index)
-        transport = self._transports[index]
-        try:
-            transport.submit("split", (keep,))
-            transport.result()
-            if self._n_clusters is not None:
-                # The worker dropped its engine with the tail rows; rebuild
-                # it over the kept half so in-flight epochs keep working.
-                transport.submit("begin_epoch", (self._n_clusters, head_labels))
-                transport.result()
-        except RemoteWorkerError:
-            raise
-        except TransportError as exc:
-            self._recover_shard(index, "split", None, exc)
-
-        # Home the tail on a fresh session.
-        new_index = self.n_shards
-        self.shard_indices.append(tail)
-        self._shard_labels.append(tail_labels)
-        self.shard_seconds[index] = 0.0
-        self.shard_seconds.append(0.0)
-        self.content_keys.append(None)
-        self._refresh_content_key(new_index)
-        target = host if host is not None else self._pick_host(exclude=set())
-        if target is None:
-            raise TransportError("no alive host can take the split shard")
-        self.placement.append(int(target))
-        self._transports.append(None)
-        try:
-            new_transport = self._connect_shard(new_index, int(target))
-            if self._n_clusters is not None:
-                new_transport.submit("begin_epoch", (self._n_clusters, tail_labels))
-                new_transport.result()
-        except TransportError as exc:
-            self._recover_shard(new_index, "split", None, exc)
-        else:
-            self._transports[new_index] = new_transport
-        self.split_events.append({
-            "shard": index,
-            "new_shard": new_index,
-            "rows_kept": int(head.size),
-            "rows_moved": int(tail.size),
-            "to_host": self.hosts[int(self.placement[new_index])],
-        })
-        return new_index
-
     # -- elastic rebalancing -------------------------------------------- #
     def begin_epoch(self, n_clusters: int, labels):
         if self.rebalance:
@@ -746,13 +554,9 @@ class ResilientTCPExecutor(TCPExecutor):
         return super().begin_epoch(n_clusters, labels)
 
     def transport_stats(self) -> dict:
-        """Cumulative wire stats: live transports plus replaced ones' bytes,
-        append bytes, the current shard count and the number of splits."""
+        """Cumulative wire stats: live transports plus replaced ones' bytes."""
         stats = super().transport_stats()
         stats["payload_bytes_shipped"] += self._retired_payload_bytes
-        stats["append_bytes_shipped"] = int(self.append_bytes_shipped)
-        stats["n_shards"] = self.n_shards
-        stats["splits"] = len(self.split_events)
         return stats
 
     def measured_throughputs(self) -> Dict[int, float]:

@@ -142,20 +142,6 @@ def encode_request(method: str, args: tuple) -> bytes:
         modes, theta = args
         arrays["modes"] = np.asarray(modes)
         arrays["theta"] = np.asarray(theta)
-    elif method == "append":
-        (codes,) = args
-        arrays["codes"] = np.ascontiguousarray(codes, dtype=np.int64)
-    elif method == "split":
-        (n_keep,) = args
-        meta["n_keep"] = int(n_keep)
-    elif method == "online_sims":
-        rows, exclude, state, omega = args
-        meta["has_omega"] = omega is not None
-        arrays["rows"] = np.asarray(rows, dtype=np.int64)
-        arrays["exclude"] = np.asarray(exclude, dtype=np.int64)
-        arrays.update(_state_arrays(state, "state_"))
-        if omega is not None:
-            arrays["omega"] = np.asarray(omega, dtype=np.float64)
     elif method in ("ping", "shutdown"):
         pass
     else:
@@ -181,18 +167,6 @@ def decode_request(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> Tuple
         return method, (arrays["labels"],)
     if method == "hamming_assign":
         return method, (arrays["modes"], arrays["theta"])
-    if method == "append":
-        return method, (arrays["codes"],)
-    if method == "split":
-        return method, (int(meta["n_keep"]),)
-    if method == "online_sims":
-        omega = arrays["omega"] if meta["has_omega"] else None
-        return method, (
-            arrays["rows"],
-            arrays["exclude"],
-            _state_from_arrays(arrays, "state_"),
-            omega,
-        )
     if method in ("ping", "shutdown"):
         return method, ()
     raise TransportError(f"unknown shard method {method!r}")

@@ -161,8 +161,8 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
     ) -> None:
         if mgcpl_params.get("update_mode", "batch") != "batch":
             raise ValueError(
-                "ShardedMGCPL only supports update_mode='batch'; for sharded "
-                "online updates use repro.distributed.streaming.StreamingMGCPL"
+                "ShardedMGCPL only supports update_mode='batch'; for online "
+                "updates use MGCPL(update_mode='online')"
             )
         super().__init__(**mgcpl_params)
         self._init_sharding(n_shards, backend, mp_context, hosts, backend_options)

@@ -24,9 +24,9 @@ pickle-free ``np.savez`` archive of ``codes`` + ``ncat``.  Writes are atomic
 directory — the single-machine deployment — can never observe a torn entry;
 a corrupt or truncated file is treated as a miss and overwritten.
 
-**Byte budget (LRU).**  A long-lived cache on a streaming fleet would grow
-without bound: every append changes a shard's content key, so the cache
-accumulates one entry per topology change.  ``max_bytes`` (or the
+**Byte budget (LRU).**  A long-lived cache would grow without bound: every
+new dataset or shard layout gets new content keys, so the cache accumulates
+one entry per distinct shard it ever saw.  ``max_bytes`` (or the
 ``REPRO_SHARD_CACHE_MAX`` environment variable, e.g. ``512m``/``2g``) caps
 the directory: after each :meth:`put` the least-recently-*used* entries are
 evicted — reads touch an entry's mtime — until the total is back under

@@ -33,12 +33,12 @@ name          executor                                             options
               pools (:mod:`repro.distributed.shm`); aliases
               ``process``, ``multiprocess``, ``processes``
 ``tcp``       one socket per shard to ``repro worker`` hosts,      ``hosts``,
-              with retry-reconnect, shard re-placement, a          ``placement``,
-              content-addressed shard cache, and resident          ``timeout``,
-              appends and hot-shard splits for streaming           ``shard_cache``,
-              (:mod:`repro.distributed.rpc` +                      ``max_retries``,
-              :mod:`repro.distributed.resilience`); aliases        ``heartbeat_interval``,
-              ``streaming``, ``stream``                            ``rebalance``
+              with retry-reconnect, shard re-placement and a       ``placement``,
+              content-addressed shard cache                        ``timeout``,
+              (:mod:`repro.distributed.rpc` +                      ``shard_cache``,
+              :mod:`repro.distributed.resilience`); aliases        ``max_retries``,
+              ``streaming``, ``stream`` (kept for saved configs)   ``heartbeat_interval``,
+                                                                   ``rebalance``
 ============  ===================================================  =========
 
 ``shm`` pool workers run OpenBLAS on ``cores // n_shards`` threads each and
@@ -271,20 +271,6 @@ class ShardExecutor(ABC):
         for idx, part in zip(self.shard_indices, shard_labels):
             labels[idx] = part
         return labels
-
-    def online_sims(self, state, rows_per_shard, exclude_per_shard, omega=None):
-        """Per-shard similarity blocks against a broadcast global state.
-
-        The streaming mini-batch online mode: each shard restores the
-        coordinator's live counts and answers ``similarity_object`` for its
-        listed local rows.  Results come back in shard order as
-        ``(len(rows), k)`` matrices.
-        """
-        args = [
-            (rows, exclude)
-            for rows, exclude in zip(rows_per_shard, exclude_per_shard)
-        ]
-        return self._map("online_sims", args, common=(state, omega))
 
     def close(self) -> None:
         """Tear the backend down; must be idempotent."""

@@ -306,38 +306,6 @@ class PackedFrequencyEngine(FrequencyEngine):
         self.packed[:] = flat.reshape(self.n_clusters, self.n_values)
         self.valid_counts[:] = self._segment_sums(self.packed)
 
-    def append_rows(self, codes) -> int:
-        """Extend the engine's data matrix in place; returns the new row count.
-
-        Appended rows arrive *unassigned*: ``packed``/``valid_counts``/
-        ``sizes`` are untouched, so the cluster statistics still describe
-        exactly the assignment they described before the call.  The packed
-        codes — and the cached one-hot encoding, when one has been
-        materialised — are extended incrementally, which is what lets a
-        resident streaming shard absorb new rows without re-encoding its
-        whole history.  A one-hot that would grow past
-        :data:`ONEHOT_MAX_CELLS` is dropped instead.
-        """
-        codes = check_array_2d(codes, "codes", dtype=np.int64)
-        if codes.shape[1] != self.codes.shape[1]:
-            raise ValueError(
-                f"appended codes have {codes.shape[1]} features, "
-                f"engine has {self.codes.shape[1]}"
-            )
-        packed_new = self.pack(codes)  # validates the vocabulary
-        self.codes = np.concatenate([self.codes, codes])
-        self._packed_codes = np.concatenate([self._packed_codes, packed_new])
-        self._caches_one_hot = self.codes.shape[0] * self.n_values <= ONEHOT_MAX_CELLS
-        if not self._caches_one_hot:
-            self._onehot = None
-        elif self._onehot is not None:
-            self._onehot = np.concatenate([self._onehot, self._one_hot(packed_new)])
-            if self._onehot_cache is not None:
-                # Re-key under the new codes identity so the next engine
-                # built over this (now longer) matrix hits the cache.
-                self._onehot_cache.store(self.codes, self.n_categories, self._onehot)
-        return int(self.codes.shape[0])
-
     def add(self, i: int, cluster: int) -> None:
         self.sizes[cluster] += 1
         row = self._packed_codes[i]

@@ -32,7 +32,8 @@ class ExperimentConfig:
     # MCDC): None keeps the serial estimators; "serial"/"shm"/"tcp" route
     # them through the sharded runtime (repro.distributed.transport; older
     # names such as "process" and "streaming" resolve as aliases of "shm" and
-    # "tcp").  With "tcp", ``hosts`` lists the `repro worker` addresses.
+    # "tcp", so saved configs keep loading).  With "tcp", ``hosts`` lists the
+    # `repro worker` addresses.
     backend: Optional[str] = None
     hosts: Tuple[str, ...] = ()
     # Extra backend options as sorted (key, value) pairs (kept hashable for

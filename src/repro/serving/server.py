@@ -548,13 +548,6 @@ class ModelServer(ThreadedFrameServer):
         ``ingest`` is rejected.
     connect_timeout:
         Replica only: seconds to keep retrying the initial sync connection.
-    on_ingest:
-        Optional ``callable(codes, labels)`` invoked after every applied
-        ingest batch, while the write lock is still held — the hook that
-        forwards served writes into a streaming runtime (e.g.
-        ``StreamingMGCPL.ingest`` appending the rows to resident shard
-        workers).  Best-effort: a raising hook is logged as a warning on
-        ``repro.serving.server`` and the ingest still succeeds.
     once:
         Exit ``serve_forever`` when every session accepted so far has
         finished (single-client demos and tests).
@@ -580,7 +573,6 @@ class ModelServer(ThreadedFrameServer):
         max_batch_delay_ms: float = 0.0,
         replica_of: Optional[str] = None,
         connect_timeout: float = 10.0,
-        on_ingest: Optional[Any] = None,
         once: bool = False,
     ) -> None:
         self.replica_of = replica_of
@@ -659,9 +651,6 @@ class ModelServer(ThreadedFrameServer):
         if self.max_batch_delay_ms < 0:
             raise ValueError("max_batch_delay_ms must be >= 0")
         self.connect_timeout = float(connect_timeout)
-        if on_ingest is not None and not callable(on_ingest):
-            raise TypeError("on_ingest must be callable(codes, labels)")
-        self.on_ingest = on_ingest
 
         self._lock = ReadWriteLock()
         self._snapshot_mutex = threading.Lock()
@@ -1001,11 +990,6 @@ class ModelServer(ThreadedFrameServer):
                 # Re-warm the cache before readers come back.
                 _ = self.model.assignment_model_.modes
                 self._publish_delta(codes, labels)
-                if self.on_ingest is not None:
-                    try:
-                        self.on_ingest(codes, labels)
-                    except Exception as exc:  # noqa: BLE001 - best-effort hook
-                        _logger.warning("on_ingest hook failed: %s", exc)
                 snapshot_taken = False
                 if (
                     self.snapshot_every

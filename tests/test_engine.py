@@ -307,24 +307,6 @@ class TestBackendSelection:
             mgcpl_sweep_local(cached, labels, broadcast),
         )
 
-    def test_append_rows_past_the_cap_drops_the_one_hot(self, monkeypatch):
-        codes, cats, labels, _ = random_problem(12, n=100)
-        labels[60:] = -1  # appended rows arrive unassigned
-        engine = make_engine(codes[:60], cats, 4, kind="dense", labels=labels[:60])
-        engine.similarity_matrix()
-        assert engine._onehot is not None
-        monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 80 * engine.n_values)
-        engine.append_rows(codes[60:])
-        assert engine._onehot is None and not engine._caches_one_hot
-        monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 1 << 26)
-        fresh = make_engine(codes, cats, 4, kind="dense", labels=labels)
-        assert np.array_equal(engine.similarity_matrix(), fresh.similarity_matrix())
-        assert np.array_equal(
-            engine.similarity_matrix(exclude_labels=labels),
-            fresh.similarity_matrix(exclude_labels=labels),
-        )
-        assert engine._onehot is None and fresh._onehot is not None
-
 
 class _NumPyPath:
     """Engine proxy without ``competitive_sweep``: the whole-matrix path."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.generators import (
     make_categorical_clusters,
+    make_drift_stream,
     make_nested_clusters,
     make_syn_d,
     make_syn_n,
@@ -150,3 +151,54 @@ class TestRegistry:
         a = load_dataset("Con")
         b = load_dataset("Con")
         assert np.array_equal(a.codes, b.codes)
+
+
+# ---------------------------------------------------------------------- #
+# Concept-drift stream generator
+# ---------------------------------------------------------------------- #
+class TestDriftStream:
+    def test_seeded_streams_are_reproducible(self):
+        a = make_drift_stream(n_batches=5, batch_rows=40, random_state=7)
+        b = make_drift_stream(n_batches=5, batch_rows=40, random_state=7)
+        for batch_a, batch_b in zip(a, b):
+            np.testing.assert_array_equal(batch_a.codes, batch_b.codes)
+            np.testing.assert_array_equal(batch_a.labels, batch_b.labels)
+            np.testing.assert_array_equal(batch_a.true_modes, batch_b.true_modes)
+
+    def test_shapes_vocabulary_and_labels(self):
+        stream = make_drift_stream(
+            n_batches=4, batch_rows=25, n_features=5, n_clusters=3,
+            n_categories=4, random_state=0,
+        )
+        assert len(stream) == 4
+        for batch in stream:
+            assert batch.codes.shape == (25, 5)
+            assert batch.n_categories == [4] * 5
+            assert batch.labels.shape == (25,)
+            assert set(np.unique(batch.labels)) <= {0, 1, 2}
+            assert batch.codes.min() >= 0 and batch.codes.max() < 4
+            assert batch.true_modes.shape == (3, 5)
+
+    def test_drift_migrates_modes_and_zero_drift_is_stationary(self):
+        drifting = make_drift_stream(
+            n_batches=8, batch_rows=20, drift=0.4, random_state=1
+        )
+        assert any(
+            not np.array_equal(drifting[0].true_modes, batch.true_modes)
+            for batch in drifting[1:]
+        )
+        frozen = make_drift_stream(
+            n_batches=5, batch_rows=20, drift=0.0, random_state=1
+        )
+        assert all(
+            np.array_equal(frozen[0].true_modes, batch.true_modes)
+            for batch in frozen
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            make_drift_stream(n_categories=1)
+        with pytest.raises(ValueError):
+            make_drift_stream(drift=1.5)
+        with pytest.raises(ValueError):
+            make_drift_stream(cluster_weights=[1.0])

@@ -28,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.core.mgcpl import MGCPL
 from repro.core.sync import InProcessShardExecutor
 from repro.data.generators import make_categorical_clusters
@@ -42,9 +43,12 @@ from repro.distributed import (
     TransportError,
     make_executor,
     measured_node_pool,
+    parse_byte_size,
     shard_content_key,
 )
 from repro.distributed import codec, rpc
+from repro.distributed.rpc import WorkerServer
+from repro.distributed.shardcache import CACHE_MAX_ENV
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -631,3 +635,91 @@ class TestOptionThreading:
         name, extra = route_through_backend("mcdc", config)
         assert name == "mcdc@sharded"
         assert extra["backend_options"] == {"max_retries": 3}
+
+
+# ---------------------------------------------------------------------- #
+# Shard-cache LRU byte budget
+# ---------------------------------------------------------------------- #
+class TestShardCacheLRU:
+    def fill(self, cache, n, rows=16):
+        """Put ``n`` distinct entries with strictly increasing mtimes."""
+        keys = []
+        for i in range(n):
+            codes = np.full((rows, 2), i, dtype=np.int64)
+            key = shard_content_key(codes, [rows + 1, rows + 1])
+            path = cache.put(key, codes, [rows + 1, rows + 1])
+            stamp = 1_000_000 + i
+            os.utime(path, (stamp, stamp))
+            keys.append(key)
+        return keys
+
+    def test_parse_byte_size(self):
+        assert parse_byte_size(None) is None
+        assert parse_byte_size("") is None
+        assert parse_byte_size(4096) == 4096
+        assert parse_byte_size("512k") == 512 * 1024
+        assert parse_byte_size("2m") == 2 * 1024**2
+        assert parse_byte_size("1.5g") == int(1.5 * 1024**3)
+        with pytest.raises(ValueError, match="malformed"):
+            parse_byte_size("lots")
+        with pytest.raises(ValueError, match="positive"):
+            parse_byte_size("0")
+        with pytest.raises(ValueError, match="positive"):
+            parse_byte_size(-3)
+
+    def test_unbounded_cache_never_evicts(self, tmp_path):
+        cache = ShardCache(tmp_path)
+        self.fill(cache, 5)
+        assert cache.evictions == 0
+        assert len(cache._entries()) == 5
+
+    def test_put_evicts_least_recently_used_first(self, tmp_path):
+        cache = ShardCache(tmp_path)
+        entry_size = cache.path_for(self.fill(cache, 1)[0]).stat().st_size
+        cache = ShardCache(tmp_path, max_bytes=3 * entry_size)
+        keys = self.fill(cache, 5)  # re-puts key 0 (touch), adds 4 more
+        assert cache.evictions >= 2
+        assert cache.total_bytes() <= 3 * entry_size
+        # The newest entries survive; the oldest were evicted.
+        assert cache.has(keys[-1])
+        assert not cache.has(keys[0]) or not cache.has(keys[1])
+
+    def test_get_touch_protects_an_entry(self, tmp_path):
+        cache = ShardCache(tmp_path, max_bytes=10**9)
+        keys = self.fill(cache, 3)
+        entry_size = cache.path_for(keys[0]).stat().st_size
+        cache.max_bytes = 3 * entry_size
+        assert cache.get(keys[0]) is not None  # oldest becomes most recent
+        extra = self.fill(cache, 1, rows=17)  # overflow: one must go
+        # key 0 was just used, so key 1 (now the oldest) is the victim.
+        assert cache.has(keys[0])
+        assert not cache.has(keys[1])
+        assert cache.has(extra[0])
+
+    def test_own_put_is_never_evicted_by_itself(self, tmp_path):
+        cache = ShardCache(tmp_path, max_bytes=1)  # absurdly small budget
+        keys = self.fill(cache, 1)
+        assert cache.has(keys[0])  # over budget, but the fresh put survives
+
+    def test_env_var_budget_and_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_MAX_ENV, "64k")
+        assert ShardCache(tmp_path).max_bytes == 64 * 1024
+        assert ShardCache(tmp_path, max_bytes="1m").max_bytes == 1024**2
+        monkeypatch.delenv(CACHE_MAX_ENV)
+        assert ShardCache(tmp_path).max_bytes is None
+
+    def test_worker_server_accepts_budget(self, tmp_path):
+        server = WorkerServer(
+            "127.0.0.1", 0, shard_cache=tmp_path / "cache",
+            shard_cache_max_bytes="2m",
+        )
+        try:
+            assert server.shard_cache.max_bytes == 2 * 1024**2
+        finally:
+            server.shutdown()
+
+    def test_cli_exposes_the_flag(self):
+        args = build_parser().parse_args(
+            ["worker", "--shard-cache", "/tmp/c", "--shard-cache-max-bytes", "512m"]
+        )
+        assert args.shard_cache_max_bytes == "512m"

@@ -537,22 +537,3 @@ class TestHotReload:
                 pytest.fail("replica never resynced to the reloaded model")
         finally:
             assert replica.stop(timeout=10)
-
-    def test_on_ingest_hook_runs_under_the_write_lock(self, model_file, vot):
-        seen = []
-        server = serve_model(
-            model_file, on_ingest=lambda codes, labels: seen.append(
-                (codes.shape[0], labels.shape[0])
-            )
-        )
-        try:
-            with ServingClient(server.address) as client:
-                client.ingest(vot.codes[:7])
-                client.ingest(vot.codes[7:12])
-            assert seen == [(7, 7), (5, 5)]
-        finally:
-            assert server.stop(timeout=10)
-
-    def test_on_ingest_must_be_callable(self, vot_model):
-        with pytest.raises(TypeError, match="on_ingest"):
-            ModelServer(vot_model, on_ingest="not-a-function")

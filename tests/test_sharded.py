@@ -123,7 +123,7 @@ class TestShardedMGCPL:
         assert sharded.labels_.shape[0] == small_clusters.n_objects
 
     def test_online_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"MGCPL\(update_mode='online'\)"):
             ShardedMGCPL(update_mode="online")
 
     def test_unknown_backend_rejected(self):

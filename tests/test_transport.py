@@ -575,3 +575,41 @@ class TestCodecFuzz:
         finally:
             left.close()
             right.close()
+
+
+# ---------------------------------------------------------------------- #
+# Retired shard verbs: what a coordinator that still sends them gets
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("method", ["append", "split", "online_sims"])
+def test_retired_verb_ends_the_session_and_the_worker_keeps_serving(
+    method, small_clusters
+):
+    codes, cats = small_clusters.codes, list(small_clusters.n_categories)
+    with pytest.raises(TransportError, match=f"unknown shard method {method!r}"):
+        rpc.encode_request(method, ())
+    with rpc.local_worker_pool(1) as hosts:
+        host, port = rpc.parse_address(hosts[0])
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.settimeout(5)
+        try:
+            rpc.send_frame(sock, rpc.pack_message(
+                "hello", {"protocol": rpc.PROTOCOL_VERSION, "engine": "auto"},
+                codes=codes[:20], ncat=np.asarray(cats, dtype=np.int64),
+            ))
+            kind, meta, _ = rpc.unpack_message(rpc.recv_frame(sock))
+            assert kind == "welcome" and meta["n_objects"] == 20
+            # The worker rejects a retired verb by its name, before reading
+            # any argument, so what an older coordinator attached is moot.
+            rpc.send_frame(sock, rpc.pack_message("call", {"method": method}))
+            # The worker closes the session: EOF, neither a reply nor a hang.
+            assert sock.recv(1 << 16) == b""
+        finally:
+            sock.close()
+        # The same worker still takes a new session and a whole fit.
+        over_tcp = ShardedMGCPL(
+            n_shards=1, backend="tcp", hosts=hosts, random_state=5
+        ).fit(small_clusters)
+    serial = ShardedMGCPL(n_shards=1, backend="serial", random_state=5).fit(
+        small_clusters
+    )
+    np.testing.assert_array_equal(over_tcp.labels_, serial.labels_)
