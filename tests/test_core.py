@@ -98,6 +98,16 @@ class TestMGCPL:
         assert online.n_clusters_ >= 2
         assert adjusted_rand_index(tiny_clusters.labels, online.labels_) > 0.3
 
+    @pytest.mark.parametrize("engine", ["loop", "compiled"])
+    def test_online_mode_is_bit_identical_across_engines(self, tiny_clusters, engine):
+        """Serial ``update_mode="online"`` is the one online path; every
+        engine backend must walk it to the same partitions."""
+        dense = MGCPL(update_mode="online", engine="dense", random_state=0).fit(tiny_clusters)
+        other = MGCPL(update_mode="online", engine=engine, random_state=0).fit(tiny_clusters)
+        assert other.kappa_ == dense.kappa_
+        np.testing.assert_array_equal(other.labels_, dense.labels_)
+        np.testing.assert_array_equal(other.encoding_, dense.encoding_)
+
     def test_level_for_k_picks_closest(self, small_clusters):
         result = MGCPL(random_state=0).fit(small_clusters).result_
         target = result.kappa[0]

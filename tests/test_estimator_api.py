@@ -109,6 +109,37 @@ class TestContractOverRegistry:
             loaded.predict(train_dataset), model.predict(train_dataset)
         )
 
+    def test_ingest_replays_bit_identically_on_a_loaded_replica(
+        self, spec, train_dataset, heldout_codes, tmp_path, request
+    ):
+        """The served-ingest contract: a primary's ingest, replayed on a
+        replica loaded from the primary's snapshot, gives the same state."""
+        primary = make_clusterer(spec.name, **_contract_params(spec, request))
+        primary.fit(train_dataset)
+        path = tmp_path / f"{spec.name.replace('@', '_at_')}.npz"
+        save_model(primary, path)
+        replica = load_model(path)
+
+        first, second = heldout_codes[:20], heldout_codes[20:]
+        expected_first = primary.predict(first)
+        labels_first = primary.ingest(first)
+        # a batch is assigned against the statistics from before it
+        np.testing.assert_array_equal(labels_first, expected_first)
+        labels_second = primary.ingest(second)
+        replica.replay_ingest(first, labels_first)
+        replica.replay_ingest(second, labels_second)
+
+        assert primary.n_clusters_ == replica.n_clusters_
+        np.testing.assert_array_equal(replica.labels_, primary.labels_)
+        assert replica.labels_.shape[0] == train_dataset.n_objects + heldout_codes.shape[0]
+        state_p = primary.assignment_model_.state
+        state_r = replica.assignment_model_.state
+        np.testing.assert_array_equal(state_r.packed, state_p.packed)
+        np.testing.assert_array_equal(state_r.sizes, state_p.sizes)
+        np.testing.assert_array_equal(
+            replica.predict(heldout_codes), primary.predict(heldout_codes)
+        )
+
     def test_clone_is_unfitted_and_independent(self, spec, train_dataset, request):
         model = make_clusterer(spec.name, **_contract_params(spec, request))
         clone = model.clone()
@@ -263,6 +294,102 @@ class TestIngest:
     def test_ingest_requires_fit(self, heldout_codes):
         with pytest.raises(RuntimeError):
             MCDC(n_clusters=3, random_state=0).ingest(heldout_codes)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: MGCPL(random_state=0),
+            lambda: CAME(n_clusters=3, random_state=0),
+            lambda: MCDC(n_clusters=3, random_state=0),
+        ],
+        ids=["mgcpl", "came", "mcdc"],
+    )
+    def test_successive_ingests_equal_one_count_of_everything(
+        self, factory, train_dataset, heldout_codes
+    ):
+        """After batches B1, B2 the statistics are the counts of train + B1 +
+        B2 under ``labels_``, in one pass: each merge is exact."""
+        model = factory().fit(train_dataset)
+        model.ingest(heldout_codes[:17])
+        model.ingest(heldout_codes[17:])
+        state = model.assignment_model_.state
+        everything = np.concatenate([train_dataset.codes, heldout_codes])
+        expected = state_from_labels(
+            everything, state.n_categories, model.labels_, state.n_clusters
+        )
+        np.testing.assert_array_equal(state.packed, expected.packed)
+        np.testing.assert_array_equal(state.sizes, expected.sizes)
+
+    def test_ingest_keeps_the_clusters_and_refreshes_the_modes(self, train_dataset):
+        model = MGCPL(random_state=0).fit(train_dataset)
+        k, kappa = model.n_clusters_, list(model.kappa_)
+        # flood one cluster with a single pattern until it becomes its mode
+        pattern = np.array(train_dataset.codes[:1], copy=True)
+        pattern[0, 0] = (pattern[0, 0] + 1) % train_dataset.n_categories[0]
+        cluster = int(model.predict(pattern)[0])
+        before = model.assignment_model_.modes.copy()
+        model.ingest(np.repeat(pattern, 4 * train_dataset.n_objects, axis=0))
+
+        assert model.n_clusters_ == k and list(model.kappa_) == kappa
+        after = model.assignment_model_.modes
+        np.testing.assert_array_equal(after, model.assignment_model_.state.modes())
+        np.testing.assert_array_equal(after[cluster], pattern[0])
+        assert not np.array_equal(after[cluster], before[cluster])
+
+    def test_unseen_codes_ingest_as_missing(self, train_dataset, heldout_codes):
+        unseen = np.array(heldout_codes, copy=True)
+        unseen[::3, 1] = 99
+        missing = np.array(heldout_codes, copy=True)
+        missing[::3, 1] = -1
+        a = MCDC(n_clusters=3, random_state=0).fit(train_dataset)
+        b = MCDC(n_clusters=3, random_state=0).fit(train_dataset)
+        np.testing.assert_array_equal(a.ingest(unseen), b.ingest(missing))
+        np.testing.assert_array_equal(
+            a.assignment_model_.state.packed, b.assignment_model_.state.packed
+        )
+
+    @pytest.mark.parametrize(
+        "batch",
+        [np.empty((0, 6), dtype=np.int64), np.zeros((3, 4), dtype=np.int64)],
+        ids=["empty", "wrong-width"],
+    )
+    def test_bad_batch_is_rejected_and_leaves_the_model_as_it_was(
+        self, batch, train_dataset
+    ):
+        model = MCDC(n_clusters=3, random_state=0).fit(train_dataset)
+        labels = model.labels_.copy()
+        packed = model.assignment_model_.state.packed.copy()
+        with pytest.raises(ValueError):
+            model.ingest(batch)
+        np.testing.assert_array_equal(model.labels_, labels)
+        np.testing.assert_array_equal(model.assignment_model_.state.packed, packed)
+
+    def test_replay_ingest_requires_fit(self, heldout_codes):
+        with pytest.raises(RuntimeError):
+            MCDC(n_clusters=3, random_state=0).replay_ingest(
+                heldout_codes, np.zeros(heldout_codes.shape[0], dtype=np.int64)
+            )
+
+    @pytest.mark.parametrize(
+        "bad", ["short", "negative", "past-k"],
+    )
+    def test_replay_rejects_labels_a_primary_cannot_have_sent(
+        self, bad, train_dataset, heldout_codes
+    ):
+        model = MGCPL(random_state=0).fit(train_dataset)
+        labels = model.predict(heldout_codes)
+        if bad == "short":
+            labels = labels[:-1]
+        elif bad == "negative":
+            labels[0] = -1
+        else:
+            labels[-1] = model.n_clusters_
+        n_before = model.labels_.shape[0]
+        sizes = model.assignment_model_.state.sizes.copy()
+        with pytest.raises(ValueError, match="labels must"):
+            model.replay_ingest(heldout_codes, labels)
+        assert model.labels_.shape[0] == n_before
+        np.testing.assert_array_equal(model.assignment_model_.state.sizes, sizes)
 
 
 class TestBaseHelpers:
