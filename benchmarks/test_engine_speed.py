@@ -13,10 +13,10 @@ Measurements pinned into the ``BENCH_engine.json`` trajectory:
   when numba is absent (the interpreted kernel fallback is a correctness
   oracle, not a fast path).
 * ``test_fit_local_sweep_and_reassignment`` — record-only: one dense fused
-  sweep and one stranded-member reassignment at the repository benchmark's
-  fit-local shape (n=50 000, d=12, 6 categories, k=224), median and IQR of
-  :data:`REPEATS` runs each; smoke-scaled to n=5 000 unless
-  ``REPRO_BENCH_FULL=1``.
+  sweep (on the engine's block workers and on one) and one stranded-member
+  reassignment at the repository benchmark's fit-local shape (n=50 000,
+  d=12, 6 categories, k=224), median and IQR of :data:`REPEATS` runs each;
+  smoke-scaled to n=5 000 unless ``REPRO_BENCH_FULL=1``.
 * ``test_onehot_cache_reuses_encoding`` — the second fit over one data set
   must re-encode nothing (the one-hot cache hits) and not get slower.
 * ``test_mgcpl_fit_wall_clock`` — a full MGCPL fit, packed vs loop backend,
@@ -39,6 +39,7 @@ from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
 from repro.core.sync import ShardWorker, SweepBroadcast
 from repro.data.generators import make_categorical_clusters
 from repro.engine import NUMBA_AVAILABLE, make_engine
+from repro.engine import packed as packed_mod
 from repro.engine.compiled import warm_up_kernels
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -172,12 +173,14 @@ def _median_iqr(seconds):
     return float(median), float(q3 - q1)
 
 
-def test_fit_local_sweep_and_reassignment(benchmark):
+def test_fit_local_sweep_and_reassignment(benchmark, monkeypatch):
     """Record-only: the two per-level costs MGCPL pays at fit-local's shape.
 
     One dense fused ``competitive_sweep`` (an epoch's k=224 sweep) and one
     ``_reassign_dead_members`` with two thirds of the objects stranded.
-    Nothing is armed; the entry carries the median and IQR of each.
+    The sweep is timed on the engine's block workers and, for the speedup,
+    on the calling thread alone (BLAS keeps its threads there).  Nothing is
+    armed; the entry carries the median and IQR of each and the worker count.
     """
     ds = make_categorical_clusters(
         n_objects=LOCAL_N, n_features=LOCAL_D, n_clusters=8, n_categories=LOCAL_CATS,
@@ -193,6 +196,7 @@ def test_fit_local_sweep_and_reassignment(benchmark):
     rho = winning_ratio(np.zeros(LOCAL_K))
     blocked = engine.sizes <= 0
     estimator = MGCPL(engine="dense")
+    _, workers = engine._row_blocks(LOCAL_N)
 
     def sweep():
         return engine.competitive_sweep(labels, u, rho, omega, blocked)
@@ -209,9 +213,15 @@ def test_fit_local_sweep_and_reassignment(benchmark):
     sweep_median, sweep_iqr = _median_iqr([timed(sweep) for _ in range(REPEATS)])
     reassign_median, reassign_iqr = _median_iqr([timed(reassign) for _ in range(REPEATS)])
     assert alive[reassign()].all()
+    threaded = [np.ascontiguousarray(part).tobytes() for part in sweep()]
+    with monkeypatch.context() as patch:
+        patch.setattr(packed_mod, "cpu_share", lambda: 1)
+        single_median, single_iqr = _median_iqr([timed(sweep) for _ in range(REPEATS)])
+        assert [np.ascontiguousarray(part).tobytes() for part in sweep()] == threaded
 
     benchmark.pedantic(sweep, iterations=1, rounds=1)
     benchmark.extra_info["sweep_median_seconds"] = sweep_median
+    benchmark.extra_info["single_worker_sweep_median_seconds"] = single_median
     benchmark.extra_info["reassign_median_seconds"] = reassign_median
     reporting.record(
         "engine",
@@ -221,6 +231,11 @@ def test_fit_local_sweep_and_reassignment(benchmark):
         k=LOCAL_K,
         wall_seconds=sweep_median,
         throughput=LOCAL_N / sweep_median,
+        speedup=single_median / sweep_median,
+        baseline="one block worker, BLAS on every core",
+        baseline_seconds=single_median,
+        baseline_iqr_seconds=single_iqr,
+        workers=workers,
         repeats=REPEATS,
         sweep_iqr_seconds=sweep_iqr,
         reassign_median_seconds=reassign_median,

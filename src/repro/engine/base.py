@@ -32,10 +32,11 @@ pre-partitioner.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.blas import run_in_threads
 from repro.utils.validation import check_array_2d
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -239,7 +240,9 @@ class FrequencyEngine(ABC):
         value pays against each reference (last row: a missing value);
         gathering it by the objects' codes gives that feature's ``(n, q)``
         terms, added in ascending feature order — the loop's order, so the
-        result is exact and no one-hot is built.
+        result is exact and no one-hot is built.  Rows are independent, so
+        the packed engines fill row parts on their block workers
+        (:meth:`_row_parts`) with the same bits.
         """
         references = check_array_2d(references, "references", dtype=np.int64)
         n, d = self.codes.shape
@@ -254,14 +257,32 @@ class FrequencyEngine(ABC):
         vocab = np.asarray(self.n_categories, dtype=np.int64)
         if references.shape[0] and (references.max(axis=0) >= vocab).any():
             raise ValueError("references contain values outside the declared vocabularies")
-        dist = np.zeros((n, references.shape[0]), dtype=np.float64)
+        tables = []
         for r, m in enumerate(self.n_categories):
             ref = references[:, r]
             mismatch = (np.arange(m + 1)[:, None] != ref[None, :]) | (ref[None, :] < 0)
-            table = np.where(mismatch, weights[r], 0.0)
-            col = self.codes[:, r]
-            dist += table[np.where(col >= 0, col, m)]
+            tables.append(np.where(mismatch, weights[r], 0.0))
+        dist = np.zeros((n, references.shape[0]), dtype=np.float64)
+        parts, workers = self._row_parts(n)
+        todo = iter(parts)
+
+        def fill() -> None:
+            for start, stop in todo:
+                block = dist[start:stop]
+                for r, (m, table) in enumerate(zip(self.n_categories, tables)):
+                    col = self.codes[start:stop, r]
+                    block += table.take(np.where(col >= 0, col, m), axis=0)
+
+        run_in_threads(fill, workers)
         return dist
+
+    def _row_parts(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
+        """Contiguous row parts of a row-independent pass, and its worker count.
+
+        One part on the calling thread here; the packed engines split the
+        rows among their block workers (:mod:`repro.engine.packed`).
+        """
+        return [(0, n)], 1
 
     def nonempty_clusters(self) -> np.ndarray:
         """Indices of clusters that currently contain at least one object."""

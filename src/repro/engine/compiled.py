@@ -304,11 +304,10 @@ class CompiledEngine(PackedFrequencyEngine):
         """Blocked scoring (``nearest_clusters``) through the loop-exact kernel."""
         cw, w_lk, has_w = self._kernel_tables(feature_weights)
 
-        def score(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-            no_loo = np.full(stop - start, -1, dtype=np.int64)
+        def score(packed_codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+            no_loo = np.full(packed_codes.shape[0], -1, dtype=np.int64)
             _similarity_kernel(
-                self._packed_codes[start:stop], self.packed, self.valid_counts,
-                cw, w_lk, has_w, no_loo, out,
+                packed_codes, self.packed, self.valid_counts, cw, w_lk, has_w, no_loo, out
             )
             return out
 

@@ -7,7 +7,8 @@ column offsets, so that every operation of the
 ops with no Python loop over features or clusters:
 
 * ``rebuild`` is one :func:`numpy.bincount` over linearised
-  ``(cluster, packed value)`` indices;
+  ``(cluster, packed value)`` indices, with spare bins for missing values
+  and unassigned objects;
 * ``add``/``remove``/``move`` and their bulk variants are fancy-indexed
   increments on the packed matrix (the packed columns of one object are
   pairwise distinct, so even the single-object path needs no ``np.add.at``);
@@ -17,7 +18,7 @@ ops with no Python loop over features or clusters:
 * ``competitive_sweep`` — MGCPL's batch sweep — is the same kernel fused
   with scoring and winner/rival selection, one cache-sized row block at a
   time (see below), and ``nearest_clusters`` — MGCPL's reassignment of
-  objects stranded in eliminated clusters — scores the same row blocks;
+  objects stranded in eliminated clusters — scores only those objects;
 * the Eqs. 15-18 statistics reduce per-feature segments of the packed matrix
   with :func:`numpy.add.reduceat`.
 
@@ -40,20 +41,42 @@ them) — at ``n = 50 000``, ``k = 224`` each is ~89 MB, far beyond L2.  The
 fused sweep computes every object's leave-one-out similarity once, then
 runs each block of rows through similarity, the correction, scoring and
 selection before the next block starts.  The similarities and scores of a
-block live in two ``(rows, k)`` buffers allocated once per sweep, and only
-five per-row vectors (winners, rivals, their similarities, has-rival)
-outlive a block.  The Eqs. 10-13 statistics are then accumulated once over
-the full vectors in object order, exactly as over an unblocked sweep.
+block live in two ``(rows, k)`` buffers, and only five per-row vectors
+(winners, rivals, their similarities, has-rival) outlive a block.  The
+Eqs. 10-13 statistics are then accumulated once over the full vectors in
+object order, exactly as over an unblocked sweep.
 
-MGCPL's reassignment after a granularity level (``nearest_clusters``) walks
-the same blocks with one buffer, encoding each block's one-hot afresh and
-reducing only the stranded rows, so no ``(n, k)`` array exists at any point
-of a fit.
+Block workers
+-------------
+Every row of a block is independent of every other, and the NumPy passes
+over a block (the leave-one-out gathers, the GEMM, scoring, the argmax
+passes and gathers of selection) release the GIL.  So the blocks of a sweep
+run on :func:`block_workers` threads — the process's CPU share
+(:func:`repro.utils.blas.cpu_share`), one per block at most, and only the
+calling thread below two blocks.  Each worker takes the next block from a
+shared iterator into its own two buffers and writes only that block's
+slices of the five vectors; the statistics still run once, in object order,
+after all workers are done.  While they run, OpenBLAS is held at one thread,
+so workers and BLAS threads never oversubscribe the cores, and the caller's
+count is given back afterwards.  The Hamming distances split their rows
+among the same number of workers; a Hamming row is computed whole by one
+worker.  No thread outlives the call,
+so a fork never inherits a pool.  The public methods and ``_one_hot`` run on
+the calling thread only (above the one-hot cap, below, the caller encodes
+each wave of blocks before the workers score it), so a tracer that wraps
+them by name still nests their spans under the caller's.
 
-A block holds :data:`SWEEP_BLOCK_BYTES` of ``(rows, k)`` float64 scores, but
-never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer than
-:data:`SWEEP_BLOCK_MIN_MACS` multiply-adds, and the rows are split evenly so
-there is no short tail block.  The floors keep the sweep bit-identical to
+MGCPL's reassignment after a granularity level (``nearest_clusters``)
+gathers only the stranded rows' packed codes, :func:`sweep_rows` at a time,
+into one reused block; the last block is padded with all-missing rows up to
+:func:`block_floor`.  Only those rows are encoded and scored, and no
+``(n, k)`` array exists at any point of a fit.
+
+A block holds :data:`SWEEP_BLOCK_BYTES` (1 MiB) of ``(rows, k)`` float64
+scores, but never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer
+than :data:`SWEEP_BLOCK_MIN_MACS` multiply-adds (:func:`block_floor`).  The
+rows are split evenly, so there is no short tail block, into a multiple of
+the worker count.  The floors keep the sweep bit-identical to
 the whole-matrix product.  OpenBLAS does not give the same bits for every
 shape: a single-row product differs at every ``k``, and on AVX-512 builds a
 product of at most 10**6 multiply-adds goes through a small-matrix kernel
@@ -75,6 +98,7 @@ way.  CAME's weighted Hamming assignment needs no one-hot at all
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,6 +112,7 @@ from repro.engine.state import (
     counts_modes,
     expand_per_feature,
 )
+from repro.utils.blas import cpu_share, run_in_threads
 from repro.utils.validation import check_array_2d, check_positive_int
 
 #: ``n * M`` one-hot cells up to which an engine caches its codes' whole
@@ -95,7 +120,7 @@ from repro.utils.validation import check_array_2d, check_positive_int
 ONEHOT_MAX_CELLS = 1 << 26
 
 #: Byte budget of one fused-sweep block's ``(rows, k)`` float64 scores.
-SWEEP_BLOCK_BYTES = 4 << 20
+SWEEP_BLOCK_BYTES = 1 << 20
 
 #: Fewest rows in a fused-sweep block; thinner GEMMs change the bits.
 SWEEP_BLOCK_MIN_ROWS = 1024
@@ -106,23 +131,42 @@ SWEEP_BLOCK_MIN_ROWS = 1024
 SWEEP_BLOCK_MIN_MACS = 1 << 21
 
 
+def block_floor(k: int, n_values: int) -> int:
+    """Fewest rows of a block whose GEMM keeps the whole-matrix bits."""
+    return max(SWEEP_BLOCK_MIN_ROWS, SWEEP_BLOCK_MIN_MACS // (k * n_values) + 1)
+
+
 def sweep_rows(k: int, n_values: int) -> int:
     """Target rows per fused-sweep block for ``k`` clusters and ``M`` values."""
-    return max(
-        SWEEP_BLOCK_MIN_ROWS,
-        SWEEP_BLOCK_BYTES // (8 * k),
-        SWEEP_BLOCK_MIN_MACS // (k * n_values) + 1,
-    )
+    return max(block_floor(k, n_values), SWEEP_BLOCK_BYTES // (8 * k))
 
 
-def sweep_blocks(n: int, k: int, n_values: int) -> List[Tuple[int, int]]:
+def even_blocks(n: int, n_blocks: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of ``n_blocks`` near-equal blocks of ``n`` rows."""
+    return [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
+
+
+def sweep_blocks(n: int, k: int, n_values: int, workers: int = 1) -> List[Tuple[int, int]]:
     """``(start, stop)`` row blocks of a fused sweep over ``n`` objects.
 
-    ``n // rows`` blocks of near-equal size (at least one), so every block
-    of a multi-block sweep has at least :func:`sweep_rows` rows.
+    ``n // rows`` blocks of near-equal size (at least one), rounded down to
+    a multiple of ``workers`` when there are at least that many, so every
+    block of a multi-block sweep has at least :func:`sweep_rows` rows and
+    ``workers`` threads get equal shares.
     """
     n_blocks = max(1, n // sweep_rows(k, n_values))
-    return [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
+    n_blocks -= n_blocks % min(max(1, workers), n_blocks)
+    return even_blocks(n, n_blocks)
+
+
+def block_workers(n_blocks: int) -> int:
+    """Block workers for a pass of ``n_blocks`` sweep blocks.
+
+    The process's :func:`~repro.utils.blas.cpu_share`, at most one per
+    block, and one (the calling thread alone) below two blocks, so small
+    passes — served predicts, small ingests — never start a thread.
+    """
+    return 1 if n_blocks < 2 else min(n_blocks, cpu_share())
 
 
 def select_winners(
@@ -291,19 +335,37 @@ class PackedFrequencyEngine(FrequencyEngine):
     # ------------------------------------------------------------------ #
     # Construction / bulk updates
     # ------------------------------------------------------------------ #
+    def _row_blocks(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
+        """``(blocks, workers)`` of a fused-sweep pass over ``n`` rows."""
+        workers = block_workers(len(sweep_blocks(n, self.n_clusters, self.n_values)))
+        return sweep_blocks(n, self.n_clusters, self.n_values, workers), workers
+
+    def _row_parts(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
+        """One contiguous part of ``n`` rows per block worker, and their count.
+
+        For row-independent passes with no GEMM (the Hamming distances): as
+        many workers as a fused sweep over the rows would use.
+        """
+        _, workers = self._row_blocks(n)
+        return even_blocks(n, workers), workers
+
     def rebuild(self, labels) -> None:
         labels = np.asarray(labels, dtype=np.int64)
-        n, d = self.codes.shape
+        n = self.codes.shape[0]
         if labels.shape[0] != n:
             raise ValueError("labels must have one entry per object")
+        if n and labels.max() >= self.n_clusters:
+            raise ValueError(f"labels must be below n_clusters={self.n_clusters}")
         assigned = labels >= 0
-        self.sizes[:] = np.bincount(labels[assigned], minlength=self.n_clusters)[
-            : self.n_clusters
-        ]
-        mask = assigned[:, None] & (self._packed_codes >= 0)
-        lin = labels[:, None] * self.n_values + self._packed_codes
-        flat = np.bincount(lin[mask], minlength=self.n_clusters * self.n_values)
-        self.packed[:] = flat.reshape(self.n_clusters, self.n_values)
+        self.sizes[:] = np.bincount(labels[assigned], minlength=self.n_clusters)
+        # Missing values (the cells' last column) and unassigned objects (an
+        # extra cluster row) are counted in bins that are then dropped, so no
+        # mask is built.  One thread: splitting this pass over the block
+        # workers was slower, as numpy's bincount scales poorly across threads.
+        k, width = self.n_clusters, self.n_values + 1
+        lin = np.where(assigned, labels, k) * width + self._cached_loo_cells()
+        counts = np.bincount(lin.ravel(), minlength=(k + 1) * width).reshape(k + 1, width)
+        self.packed[:] = counts[:k, :-1]
         self.valid_counts[:] = self._segment_sums(self.packed)
 
     def add(self, i: int, cluster: int) -> None:
@@ -587,43 +649,63 @@ class PackedFrequencyEngine(FrequencyEngine):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape[0] != n:
             raise ValueError("labels must have one entry per object")
+        k = self.n_clusters
         t = (1.0 - np.asarray(rho, dtype=np.float64)) * np.asarray(u, dtype=np.float64)
         blocked = np.asarray(blocked, dtype=np.bool_)
         column_weights = self._column_weights(omega)
-        loo = self._loo_own_similarity(
-            self._cached_loo_cells(), np.maximum(labels, 0), self._loo_table(omega)
-        )
+        loo_table = self._loo_table(omega)
+        cells, own = self._cached_loo_cells(), np.maximum(labels, 0)
         onehot = self._cached_one_hot()
-        blocks = sweep_blocks(n, self.n_clusters, self.n_values)
+        blocks, workers = self._row_blocks(n)
         rows = max(stop - start for start, stop in blocks)
-        sims_buffer = np.empty((rows, self.n_clusters), dtype=np.float64)
-        scores_buffer = np.empty_like(sims_buffer)
 
         winners = np.empty(n, dtype=np.int64)
         rivals = np.empty(n, dtype=np.int64)
         winner_sims = np.empty(n, dtype=np.float64)
         rival_sims = np.empty(n, dtype=np.float64)
         has_rival = np.empty(n, dtype=np.bool_)
-        for start, stop in blocks:
-            part = slice(start, stop)
-            sims = self._similarity_block(
-                self._block_one_hot(self._packed_codes, part, onehot),
-                column_weights,
-                labels[part],
-                loo[part],
-                out=sims_buffer[: stop - start],
-            )
-            (
-                winners[part],
-                rivals[part],
-                winner_sims[part],
-                rival_sims[part],
-                has_rival[part],
-            ) = select_winners(sims, t, blocked, scores_buffer[: stop - start])
-        stats = competition_statistics(
-            winners, rivals, winner_sims, rival_sims, has_rival, self.n_clusters
-        )
+
+        def sweep(todo) -> None:
+            # One worker's blocks, through its own (rows, k) buffers; it
+            # writes only its blocks' slices of the five per-row vectors.
+            sims_buffer = np.empty((rows, k), dtype=np.float64)
+            scores_buffer = np.empty_like(sims_buffer)
+            for start, stop, block_onehot in todo:
+                part = slice(start, stop)
+                sims = self._similarity_block(
+                    block_onehot,
+                    column_weights,
+                    labels[part],
+                    self._loo_own_similarity(cells[:, part], own[part], loo_table),
+                    out=sims_buffer[: stop - start],
+                )
+                (
+                    winners[part],
+                    rivals[part],
+                    winner_sims[part],
+                    rival_sims[part],
+                    has_rival[part],
+                ) = select_winners(sims, t, blocked, scores_buffer[: stop - start])
+
+        for wave in self._encoded_waves(blocks, workers, onehot):
+            run_in_threads(partial(sweep, iter(wave)), workers)
+        stats = competition_statistics(winners, rivals, winner_sims, rival_sims, has_rival, k)
         return (winners, *stats)
+
+    def _encoded_waves(self, blocks, workers: int, onehot: Optional[np.ndarray]):
+        """``(start, stop, one-hot)`` of every block, in waves for the workers.
+
+        With the one-hot cached, one wave of slices.  Streamed, a wave of
+        ``workers`` blocks at a time, each encoded on the calling thread as
+        its wave comes up, so at most that many encoded blocks are alive.
+        """
+        if onehot is not None:
+            return [[(start, stop, onehot[start:stop]) for start, stop in blocks]]
+        codes = self._packed_codes
+        return (
+            [(a, b, self._one_hot(codes[a:b])) for a, b in blocks[i : i + workers]]
+            for i in range(0, len(blocks), workers)
+        )
 
     def nearest_clusters(
         self,
@@ -631,38 +713,38 @@ class PackedFrequencyEngine(FrequencyEngine):
         allowed: np.ndarray,
         feature_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Blocked :meth:`FrequencyEngine.nearest_clusters`: no ``(n, k)`` array.
+        """Blocked :meth:`FrequencyEngine.nearest_clusters`: only ``rows`` are scored.
 
-        Scores the engine's objects one :func:`sweep_blocks` block at a time
-        — the fused sweep's GEMM shapes, hence the whole-matrix bits — into
-        one reused ``(rows, k)`` buffer, sets disallowed clusters to
-        ``-inf`` and reduces only the requested rows of each block.  Each
-        block's one-hot is encoded afresh, so no full ``(n, M)`` encoding is
-        built either.
+        The requested rows' packed codes are gathered :func:`sweep_rows` at
+        a time into one reused block; a shorter last block is padded with
+        all-missing rows up to :func:`block_floor`, so every GEMM stays above
+        the BLAS shape floors and gives the whole-matrix bits.  Disallowed
+        clusters are set to ``-inf`` before the argmax.  No ``(n, k)`` array
+        is built, and only the requested rows (plus padding) are encoded.
         """
         rows = np.asarray(rows, dtype=np.int64)
         disallowed = ~np.asarray(allowed, dtype=np.bool_)
-        n = self._packed_codes.shape[0]
-        blocks = sweep_blocks(n, self.n_clusters, self.n_values)
+        floor = block_floor(self.n_clusters, self.n_values)
+        size = max(floor, min(sweep_rows(self.n_clusters, self.n_values), rows.size))
         score = self._block_scorer(feature_weights)
-        buffer = np.empty(
-            (max(stop - start for start, stop in blocks), self.n_clusters), dtype=np.float64
-        )
-        bounds = np.searchsorted(rows, [start for start, _ in blocks] + [n])
+        block = np.full((size, self.codes.shape[1]), -1, dtype=np.int64)
+        buffer = np.empty((size, self.n_clusters), dtype=np.float64)
         nearest = np.empty(rows.size, dtype=np.int64)
-        for (start, stop), lo, hi in zip(blocks, bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            sims = score(start, stop, buffer[: stop - start])
+        for lo in range(0, rows.size, size):
+            hi = min(lo + size, rows.size)
+            scored = max(hi - lo, floor)
+            block[: hi - lo] = self._packed_codes[rows[lo:hi]]
+            block[hi - lo : scored] = -1
+            sims = score(block[:scored], buffer[:scored])[: hi - lo]
             sims[:, disallowed] = -np.inf
-            nearest[lo:hi] = sims[rows[lo:hi] - start].argmax(axis=1)
+            nearest[lo:hi] = sims.argmax(axis=1)
         return nearest
 
     def _block_scorer(self, feature_weights: Optional[np.ndarray]):
-        """``score(start, stop, out)``: similarities of objects ``start:stop`` into ``out``."""
+        """``score(packed_codes, out)``: similarities of a block of packed codes into ``out``."""
         column_weights = self._column_weights(feature_weights)
-        return lambda start, stop, out: self._similarity_block(
-            self._one_hot(self._packed_codes[start:stop]), column_weights, out=out
+        return lambda packed_codes, out: self._similarity_block(
+            self._one_hot(packed_codes), column_weights, out=out
         )
 
     # ------------------------------------------------------------------ #

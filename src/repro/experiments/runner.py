@@ -21,6 +21,7 @@ from repro.data.dataset import CategoricalDataset
 from repro.experiments.config import ExperimentConfig
 from repro.metrics import INDEX_NAMES, evaluate_clustering
 from repro.registry import make_clusterer, resolve_name
+from repro.utils.blas import limit_blas_threads, threads_per_process
 from repro.utils.rng import ensure_rng
 
 T = TypeVar("T")
@@ -139,7 +140,14 @@ def map_trials(trial: Callable[..., T], items: Sequence, n_jobs: int = 1) -> Lis
     n_jobs = int(n_jobs or 1)
     if n_jobs <= 1 or len(items) <= 1:
         return [trial(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
+    # Each trial process gets an even share of the cores, for its BLAS
+    # threads and its engines' block workers alike (repro.utils.blas).
+    n_workers = min(n_jobs, len(items))
+    with ProcessPoolExecutor(
+        max_workers=n_workers,
+        initializer=limit_blas_threads,
+        initargs=(threads_per_process(n_workers),),
+    ) as pool:
         return list(pool.map(trial, items))
 
 

@@ -1,9 +1,9 @@
-"""BLAS threads in shard-worker processes (:mod:`repro.utils.blas`).
+"""BLAS threads and block workers per process (:mod:`repro.utils.blas`).
 
 Every case runs in a fresh subprocess, so the pin never touches the pytest
-process's own BLAS threads.  Each script first raises OpenBLAS to 4 threads
-(more than one, whatever the host), so "pinned to 1" and "left unchanged"
-are told apart on any machine.
+process's own BLAS threads.  Most scripts first raise OpenBLAS to 3 or 4
+threads (more than one, whatever the host), so "pinned to 1" and "left
+unchanged" are told apart on any machine.
 """
 
 from __future__ import annotations
@@ -185,3 +185,82 @@ def test_in_process_fits_keep_the_callers_threads(tmp_path):
         print(json.dumps({"serial": after_serial, "tcp_threads": threads()}))
     """)
     assert out == {"serial": [4], "tcp_threads": [4]}
+
+
+FIT_SCRIPT = """
+    import threading
+    import numpy as np
+    from repro import MCDC
+    from repro.data.generators import make_categorical_clusters
+    from repro.engine import packed
+
+    started, inside = [], set()
+    start_thread = threading.Thread.start
+    similarity_block = packed.PackedFrequencyEngine._similarity_block
+
+    def counting_start(self):
+        started.append(self.name)
+        start_thread(self)
+
+    def spy(self, *args, **kwargs):
+        # BLAS threads as a block worker sees them.
+        if threading.current_thread() is not threading.main_thread():
+            inside.update(blas_threads().values())
+        return similarity_block(self, *args, **kwargs)
+
+    threading.Thread.start = counting_start
+    packed.PackedFrequencyEngine._similarity_block = spy
+    data = make_categorical_clusters(
+        n_objects=8000, n_features=12, n_clusters=8, n_categories=6,
+        purity=0.75, random_state=0,
+    )
+    {pin}
+    before = threads()
+    MCDC(n_clusters=8, random_state=0).fit(data)
+    print(json.dumps({{
+        "before": before, "after": threads(), "started": len(started),
+        "inside": sorted(inside),
+    }}))
+"""
+
+
+@pytest.mark.parametrize("pin", ["", "limit_blas_threads(3)"])
+def test_in_process_fit_gives_the_callers_threads_back(tmp_path, pin):
+    # Unpinned, the caller keeps OpenBLAS's own count and its share is every
+    # core; pinned to three, both are three.  Either way the block workers
+    # run with one BLAS thread each, and the count is given back afterwards.
+    if not pin and threads_per_process(1) < 2:
+        pytest.skip("one core: an unpinned fit starts no block worker")
+    out = run_script(tmp_path, FIT_SCRIPT.format(pin=pin))
+    assert out["before"] == out["after"]
+    assert out["started"] > 0
+    assert out["inside"] == [1]
+    if pin:
+        assert out["after"] == [3]
+
+
+def test_process_pinned_to_one_thread_starts_no_block_worker(tmp_path):
+    out = run_script(tmp_path, FIT_SCRIPT.format(pin="limit_blas_threads(1)"))
+    assert out == {"before": [1], "after": [1], "started": 0, "inside": []}
+
+
+def test_trial_workers_share_the_cores(tmp_path):
+    out = run_script(tmp_path, """
+        from repro.experiments.runner import map_trials
+        from repro.utils.blas import cpu_share, threads_per_process
+
+
+        def share(_):
+            return [threads(), cpu_share()]
+
+
+        if __name__ == "__main__":
+            limit_blas_threads(4)
+            trials = map_trials(share, [0, 1], n_jobs=2)
+            print(json.dumps({
+                "trials": trials, "expected": threads_per_process(2), "caller": threads(),
+            }))
+    """)
+    expected = out["expected"]
+    assert out["trials"] == [[[expected], expected]] * 2
+    assert out["caller"] == [4]

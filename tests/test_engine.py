@@ -20,9 +20,12 @@ Two invariants protect every consumer of :mod:`repro.engine`:
   every block afresh and returns the same bits as one that caches its
   one-hot.
 * **Blocked reassignment == whole-matrix reassignment** — MGCPL's
-  stranded-member reassignment scores one row block at a time, gives the
-  labels of the masked whole similarity matrix and never allocates an
-  ``(n, k)`` array.
+  stranded-member reassignment scores only the stranded rows, in padded
+  row blocks, gives the labels of the masked whole similarity matrix and
+  never allocates an ``(n, k)`` array.
+* **Block workers == one worker** — the fused sweep, ``rebuild`` and the
+  Hamming distances return the same bytes on 1, 2 and 3 block workers, and
+  so do whole MCDC fits on the UCI analogues.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from hypothesis import strategies as st
 
 import repro.engine.compiled as compiled_mod
 import repro.engine.packed as packed_mod
+from repro.core.mcdc import MCDC
 from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
 from repro.core.sync import (
     InProcessShardExecutor,
@@ -43,7 +47,7 @@ from repro.core.sync import (
     contiguous_shards,
     mgcpl_sweep_local,
 )
-from repro.data.uci.registry import load_dataset
+from repro.data.uci.registry import available_datasets, load_dataset
 from repro.engine import LoopEngine, PackedFrequencyEngine, make_engine, resolve_engine_kind
 
 #: The dense engine with its one-hot cap at 0 cells: every block is encoded afresh.
@@ -534,6 +538,34 @@ class TestBlockedReassignment:
         got = estimator._reassign_dead_members(codes, SWEEP_CATS, labels, alive, omega)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
+    def test_short_block_keeps_the_whole_matrix_bits(self, monkeypatch, kind):
+        """Ten stranded rows are padded to the floor; unpadded, most differ."""
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        k = 19
+        _, n, _ = layout("uneven", k)
+        codes, labels, _ = reassign_problem(n, n, k, "fewer-than-a-block")
+        omega = np.random.default_rng(k).random((len(SWEEP_CATS), k))
+        engine = packed_engine(codes, SWEEP_CATS, k, kind, labels=labels)
+        whole = engine.similarity_matrix(feature_weights=omega)
+        scorer, scored = engine._block_scorer, []
+
+        def recording_scorer(feature_weights):
+            score = scorer(feature_weights)
+
+            def recorded(packed_codes, out):
+                scored.append(score(packed_codes, out).copy())
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(engine, "_block_scorer", recording_scorer)
+        rows = np.flatnonzero(labels < 0)
+        engine.nearest_clusters(rows, np.ones(k, dtype=bool), omega)
+        assert len(scored) == 1
+        assert scored[0].shape[0] == packed_mod.block_floor(k, sum(SWEEP_CATS))
+        assert np.array_equal(scored[0][: rows.size], whole[rows])
+
     def test_peak_allocation_stays_below_one_n_by_k_matrix(self):
         """No ``(n, k)`` float64 matrix: the trace peak stays below one."""
         n, k, d = 20_000, 150, 12
@@ -552,3 +584,89 @@ class TestBlockedReassignment:
         assert alive[got].all()
         assert peak < n * k * 8, f"peak {peak / 2**20:.1f} MiB >= one n x k matrix"
 
+
+
+def engine_outputs(codes, cats, k, kind, labels, broadcast):
+    """Bytes of one fused sweep, the ``rebuild`` after it and two Hamming passes."""
+    engine = packed_engine(codes, cats, k, kind)
+    engine.restore(broadcast.state)
+    swept = engine.competitive_sweep(
+        labels, broadcast.u, broadcast.rho, broadcast.omega, broadcast.blocked
+    )
+    engine.rebuild(swept[0])
+    modes = engine.modes()
+    theta = np.random.default_rng(k).random(len(cats))
+    return [
+        np.ascontiguousarray(part).tobytes()
+        for part in (
+            *swept, engine.packed, engine.valid_counts, engine.sizes,
+            engine.hamming_distances(modes, theta), engine.hamming_distances(modes),
+        )
+    ]
+
+
+#: Row counts, in blocks of :func:`sweep_rows` at the ``FLOORS`` budget:
+#: ``below-macs`` is one product under ``SWEEP_BLOCK_MIN_MACS``, the next two
+#: sit on either side of the two-block threshold, and 5.33 and 7 blocks are
+#: no multiple of two or three workers.
+WORKER_SIZES = {
+    "below-macs": lambda rows, k: (packed_mod.SWEEP_BLOCK_MIN_MACS // (k * 30)) - 1,
+    "below-two-blocks": lambda rows, k: 2 * rows - 1,
+    "two-blocks": lambda rows, k: 2 * rows,
+    "five-blocks": lambda rows, k: 5 * rows + rows // 3,
+    "seven-blocks": lambda rows, k: 7 * rows,
+}
+
+
+class TestBlockWorkers:
+    """The threaded kernels give the bytes of one worker at any worker count."""
+
+    @pytest.mark.parametrize("size", sorted(WORKER_SIZES))
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
+    @pytest.mark.parametrize("k", [19, 224])
+    def test_kernels_match_one_worker(self, monkeypatch, size, kind, k):
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        n = WORKER_SIZES[size](rows, k)
+        codes, labels, broadcast = sweep_problem(n + k, n, k, False, True)
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(packed_mod, "cpu_share", lambda: workers)
+            blocks, used = make_engine(codes, SWEEP_CATS, k, kind="dense")._row_blocks(n)
+            natural = len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS)))
+            # No thread below two blocks; above, at most one per block, and
+            # the block count is rounded down to a multiple of them.
+            assert used == (1 if natural < 2 else min(workers, natural))
+            assert len(blocks) % used == 0
+            assert min(stop - start for start, stop in blocks) >= min(n, rows)
+            outputs[workers] = engine_outputs(codes, SWEEP_CATS, k, kind, labels, broadcast)
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        monkeypatch.setattr(packed_mod, "cpu_share", lambda: 2)
+        k = 224
+        n = 4 * packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        codes, labels, broadcast = sweep_problem(5, n, k, False, False)
+        engine = make_engine(codes, SWEEP_CATS, k, kind="dense")
+        engine.restore(broadcast.state)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(packed_mod, "select_winners", fail)
+        with pytest.raises(RuntimeError, match="block failed"):
+            engine.competitive_sweep(labels, broadcast.u, broadcast.rho, None, broadcast.blocked)
+
+    @pytest.mark.parametrize("abbrev", available_datasets())
+    def test_mcdc_fits_match_one_worker_on_uci_analogues(self, monkeypatch, abbrev):
+        # At the floors even the small analogues sweep several blocks.
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        ds = load_dataset(abbrev)
+        fits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(packed_mod, "cpu_share", lambda: workers)
+            model = MCDC(n_clusters=ds.n_clusters_true, engine="dense", random_state=0).fit(ds)
+            fits.append((model.labels_.tobytes(), list(model.kappa_)))
+        assert fits[1] == fits[0]
