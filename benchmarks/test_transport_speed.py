@@ -317,7 +317,6 @@ def test_tcp_worker_recovery_time(benchmark):
         recovery_seconds=event["recovery_seconds"],
         recovery_attempts=event["attempts"],
         recovery_method=event["method"],
-        cache_status=event["cache_status"],
         n_shards=3,
     )
     assert event["recovery_seconds"] >= 0

@@ -239,18 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after serving one coordinator session (single-fit demos; "
         "note an MCDC fit opens several sessions — leave workers persistent)",
     )
-    worker.add_argument(
-        "--shard-cache", default=None, metavar="DIR",
-        help="content-addressed shard cache directory: shards this worker has "
-        "seen before (or that another worker cached here) handshake with zero "
-        "payload bytes — also what makes post-crash shard re-placement cheap",
-    )
-    worker.add_argument(
-        "--shard-cache-max-bytes", default=None, metavar="BYTES",
-        help="LRU byte budget for --shard-cache (e.g. 1048576, '512m', '2g'); "
-        "least-recently-used entries are evicted once the directory exceeds "
-        "it — defaults to $REPRO_SHARD_CACHE_MAX, unbounded when unset",
-    )
 
     subparsers.add_parser(
         "methods", help="list the registered clusterers and executor backends"
@@ -273,39 +261,21 @@ def _add_backend_options(sub: argparse.ArgumentParser) -> None:
         help="reconnect attempts per failed shard call before giving up "
         "(--backend tcp; default 2)",
     )
-    sub.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="probe worker liveness every SECONDS on a background thread; dead "
-        "hosts leave the re-placement candidate set until a probe succeeds "
-        "again (--backend tcp; default: off)",
-    )
-    sub.add_argument(
-        "--shard-cache", default=None, metavar="DIR",
-        help="content-addressed shard cache directory on the coordinator side; "
-        "workers that share it (repro worker --shard-cache DIR) handshake "
-        "with zero payload bytes on re-fits of the same data (--backend tcp)",
-    )
 
 
 def _resolve_backend_args(args: argparse.Namespace):
     """Validate backend flags; returns (backend, hosts, backend_options).
 
-    ``backend_options`` carries the tcp resilience knobs (--max-retries,
-    --heartbeat-interval, --shard-cache) validated against the backend's
-    registered option names; it is ``{}`` when none were passed.
+    ``backend_options`` carries the tcp backend's --max-retries, validated
+    against the backend's registered option names; it is ``{}`` when the
+    flag was not passed.
     """
-    flag_options = {
-        "max_retries": ("--max-retries", args.max_retries),
-        "heartbeat_interval": ("--heartbeat-interval", args.heartbeat_interval),
-        "shard_cache": ("--shard-cache", args.shard_cache),
-    }
-    passed = {k: v for k, (_, v) in flag_options.items() if v is not None}
+    passed = {} if args.max_retries is None else {"max_retries": args.max_retries}
     if args.backend is None:
         if args.workers is not None:
             raise SystemExit("--workers requires --backend tcp")
         if passed:
-            flags = ", ".join(flag_options[k][0] for k in sorted(passed))
-            raise SystemExit(f"{flags} requires --backend (e.g. --backend tcp)")
+            raise SystemExit("--max-retries requires --backend (e.g. --backend tcp)")
         return None, None, {}
     from repro.distributed.transport import available_backends, get_backend_spec
 
@@ -329,16 +299,13 @@ def _resolve_backend_args(args: argparse.Namespace):
             raise SystemExit("--workers must list at least one HOST:PORT address")
     if "hosts" in spec.options and hosts is None:
         raise SystemExit(f"--backend {backend} requires --workers HOST:PORT,...")
-    for key in sorted(passed):
-        if key not in spec.options:
-            raise SystemExit(
-                f"backend {backend!r} does not take {flag_options[key][0]} "
-                "(only the tcp backend does)"
-            )
-    if "max_retries" in passed and passed["max_retries"] < 0:
+    if passed and "max_retries" not in spec.options:
+        raise SystemExit(
+            f"backend {backend!r} does not take --max-retries "
+            "(only the tcp backend does)"
+        )
+    if passed and passed["max_retries"] < 0:
         raise SystemExit("--max-retries must be >= 0")
-    if "heartbeat_interval" in passed and passed["heartbeat_interval"] <= 0:
-        raise SystemExit("--heartbeat-interval must be > 0 seconds")
     return backend, hosts, passed
 
 
@@ -712,13 +679,7 @@ def _worker(args: argparse.Namespace) -> int:
         host, port = parse_address(args.listen)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    try:
-        server = WorkerServer(
-            host, port, once=args.once, shard_cache=args.shard_cache,
-            shard_cache_max_bytes=args.shard_cache_max_bytes,
-        )
-    except ValueError as exc:  # malformed --shard-cache-max-bytes
-        raise SystemExit(str(exc))
+    server = WorkerServer(host, port, once=args.once)
     # The resolved address (port 0 -> ephemeral) goes out first and flushed,
     # so launchers can scrape it and build their --workers list.
     print(f"repro worker listening on {server.address}", flush=True)

@@ -25,19 +25,13 @@ what the pre-partitioning preserves (locality, balance, consistency).
 
 from repro.distributed.node import ComputeNode, NodePool, make_node_pool
 from repro.distributed.partitioner import MultiGranularPartitioner, PartitionPlan
-from repro.distributed.resilience import (
-    HeartbeatMonitor,
-    ResilientTCPExecutor,
-    RetryPolicy,
-    measured_node_pool,
-)
+from repro.distributed.resilience import ResilientTCPExecutor, RetryPolicy
 from repro.distributed.runtime import (
     ShardedCAME,
     ShardedMCDC,
     ShardedMCDCEncoder,
     ShardedMGCPL,
 )
-from repro.distributed.shardcache import ShardCache, parse_byte_size, shard_content_key
 from repro.distributed.shm import ShmExecutor
 from repro.distributed.transport import (
     RemoteWorkerError,
@@ -71,14 +65,9 @@ __all__ = [
     "ShardedMCDCEncoder",
     "ShardExecutor",
     "ShardTransport",
-    "ShardCache",
-    "shard_content_key",
-    "parse_byte_size",
     "ShmExecutor",
-    "HeartbeatMonitor",
     "ResilientTCPExecutor",
     "RetryPolicy",
-    "measured_node_pool",
     "TransportError",
     "RemoteWorkerError",
     "available_backends",

@@ -16,8 +16,7 @@ bit-exact for the numeric dtypes the tiers exchange:
   shape larger than the bytes left, trailing bytes — never a raw
   ``json``/``numpy`` exception, so adversarial input fails cleanly on both
   ends of the socket.  npz stays the on-disk model archive format
-  (:mod:`repro.persistence`) and shard-cache format
-  (:mod:`repro.distributed.shardcache`); it never travels as a frame body.
+  (:mod:`repro.persistence`); it never travels as a frame body.
 * :func:`send_frame` / :func:`send_frames` / :func:`recv_frame` and
   :class:`FrameReader` — the length-prefixed framing with
   a frame-size cap enforced on *both* send and receive, so a corrupt length

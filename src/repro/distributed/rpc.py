@@ -34,17 +34,13 @@ Protocol v2 extended the v1 handshake for the resilience layer
 (:mod:`repro.distributed.resilience`); v3 (this module) keeps that handshake
 and moves every frame body to the codec's one layout:
 
-* every shard ``hello`` carries the shard's *content key*
-  (:func:`repro.distributed.shardcache.shard_content_key`); a **cache-first**
-  hello omits the codes entirely, and the worker either restores the shard
-  from its content-addressed cache (``repro worker --shard-cache DIR``) and
-  welcomes directly — zero payload bytes shipped — or asks with a
-  ``need_codes`` frame, after which the coordinator ships a ``codes`` frame;
+* every shard ``hello`` carries the shard's codes; a ``hello`` without them
+  gets a ``ProtocolError`` and the session ends;
 * ``hello`` with ``mode="ping"`` opens a *liveness session* with no shard at
-  all — :func:`ping_host` and the heartbeat monitor use it to probe worker
-  health without touching shard state;
+  all — :func:`ping_host` uses it to probe worker health without touching
+  shard state;
 * every reply carries the worker-side wall time of the call (``elapsed`` in
-  the reply meta), which is what drives measured epoch-boundary rebalancing.
+  the reply meta), read back as :attr:`TCPTransport.last_elapsed`.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +65,6 @@ from repro.distributed.codec import (
     send_frame,
     unpack_message,
 )
-from repro.distributed.shardcache import ShardCache, shard_content_key
 from repro.distributed.transport import (
     RemoteWorkerError,
     TransportError,
@@ -177,8 +171,8 @@ def encode_result(result: Any, meta: Optional[Dict[str, Any]] = None) -> bytes:
 
     ``meta`` lets the worker attach side-channel facts to any reply — the
     v2 protocol uses it for ``elapsed`` (worker-side wall seconds of the
-    call), which the coordinator's rebalancer reads without the estimators
-    ever seeing it.
+    call), which the coordinator reads without the estimators ever seeing
+    it.
     """
     meta = dict(meta or {})
     if isinstance(result, EngineState):
@@ -255,84 +249,46 @@ def _serve_ping_session(conn: socket.socket) -> None:
             }))
 
 
-def _receive_shard(
-    conn: socket.socket,
-    meta: Dict[str, Any],
-    arrays: Dict[str, np.ndarray],
-    shard_cache: Optional[ShardCache],
-) -> Optional[Tuple[np.ndarray, List[int], str]]:
-    """Resolve the hello into the shard payload: shipped, cached, or asked for.
-
-    Returns ``(codes, n_categories, cache_status)`` or ``None`` if the
-    coordinator disappeared mid-handshake.  ``cache_status`` lands in the
-    welcome so the coordinator's transport counters can attribute the
-    handshake to a hit, a miss, or a plain ship.
-    """
-    content_key = meta.get("content_key")
-    if "codes" in arrays:
-        codes = arrays["codes"]
-        ncat = [int(m) for m in arrays["ncat"]]
-        if shard_cache is not None and content_key:
-            shard_cache.put(content_key, codes, ncat)
-        return codes, ncat, "shipped"
-    # Cache-first hello: no payload; restore from the cache or ask for it.
-    cached = shard_cache.get(content_key) if (shard_cache and content_key) else None
-    if cached is not None:
-        codes, ncat = cached
-        return codes, ncat, "hit"
-    send_frame(conn, pack_message("need_codes", {"content_key": content_key}))
-    try:
-        kind, _, codes_arrays = unpack_message(recv_frame(conn))
-    except TransportError:
-        return None  # coordinator went away mid-handshake
-    if kind != "codes" or "codes" not in codes_arrays:
-        send_frame(conn, pack_message("error", {
-            "error": "ProtocolError", "message": f"expected codes, got {kind!r}",
-        }))
-        return None
-    codes = codes_arrays["codes"]
-    ncat = [int(m) for m in codes_arrays["ncat"]]
-    if shard_cache is not None and content_key:
-        shard_cache.put(content_key, codes, ncat)
-    return codes, ncat, "miss"
-
-
-def _serve_session(conn: socket.socket, shard_cache: Optional[ShardCache] = None) -> None:
+def _serve_session(conn: socket.socket) -> None:
     """One coordinator connection: handshake, then a shard-call loop.
 
-    The handshake resolves the shard payload exactly once per session — from
-    the ``hello`` itself, from the worker-side content-addressed cache, or
-    via a ``need_codes`` round-trip — after which every request is a small
-    method payload against the resident :class:`ShardWorker`.  Every reply
-    carries the call's worker-side wall time (``elapsed``).  Worker-side
-    exceptions are reported back as ``error`` frames so the coordinator can
-    re-raise them; transport-level failures end the session.
+    The ``hello`` carries the shard's codes exactly once per session, after
+    which every request is a small method payload against the resident
+    :class:`ShardWorker`.  Every reply carries the call's worker-side wall
+    time (``elapsed``).  Worker-side exceptions are reported back as
+    ``error`` frames so the coordinator can re-raise them; a bad handshake
+    gets a ``ProtocolError`` frame and transport-level failures end the
+    session.
     """
+
+    def refuse(message: str) -> None:
+        send_frame(conn, pack_message("error", {
+            "error": "ProtocolError", "message": message,
+        }))
+
     try:
         kind, meta, arrays = unpack_message(recv_frame(conn))
         if kind != "hello":
-            send_frame(conn, pack_message("error", {
-                "error": "ProtocolError", "message": f"expected hello, got {kind!r}",
-            }))
+            refuse(f"expected hello, got {kind!r}")
             return
         if meta.get("protocol") != PROTOCOL_VERSION:
-            send_frame(conn, pack_message("error", {
-                "error": "ProtocolError",
-                "message": f"protocol {meta.get('protocol')!r} != {PROTOCOL_VERSION}",
-            }))
+            refuse(f"protocol {meta.get('protocol')!r} != {PROTOCOL_VERSION}")
             return
         if meta.get("mode") == "ping":
             _serve_ping_session(conn)
             return
-        shard = _receive_shard(conn, meta, arrays, shard_cache)
-        if shard is None:
+        if "codes" not in arrays or "ncat" not in arrays:
+            # An older coordinator's cache-first hello: this worker keeps no
+            # shard cache, so answer plainly instead of asking for the codes.
+            refuse("the hello carries no shard codes; ship them in the hello")
             return
-        codes, ncat, cache_status = shard
-        worker = ShardWorker(codes, ncat, engine=str(meta.get("engine", "auto")))
+        worker = ShardWorker(
+            arrays["codes"], [int(m) for m in arrays["ncat"]],
+            engine=str(meta.get("engine", "auto")),
+        )
         send_frame(conn, pack_message("welcome", {
             "protocol": PROTOCOL_VERSION,
             "n_objects": worker.ping(),
-            "cache": cache_status,
         }))
         while True:
             try:
@@ -360,7 +316,7 @@ def _serve_session(conn: socket.socket, shard_cache: Optional[ShardCache] = None
     except TransportError:
         pass  # half-open teardown / malformed frame; the peer sees its own error
     except Exception:
-        pass  # adversarial handshake payload (e.g. hello without codes)
+        pass  # adversarial handshake payload (e.g. codes of the wrong shape)
     finally:
         try:
             conn.close()
@@ -374,62 +330,33 @@ class WorkerServer(ThreadedFrameServer):
     The accept-loop mechanics (immediate bind so ``port=0`` resolves before
     :meth:`serve_forever`, one daemon thread per session, ``once`` semantics,
     idempotent :meth:`shutdown`) live in :class:`ThreadedFrameServer`; this
-    subclass contributes the shard-session protocol.  With ``shard_cache``
-    (``repro worker --shard-cache DIR``) the worker keeps every shard it ever
-    received in a content-addressed directory, so re-fits of the same data —
-    and shards re-placed onto it after another worker's death — handshake
-    without any payload bytes.
+    subclass contributes the shard-session protocol.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        once: bool = False,
-        shard_cache: Union[None, str, Path, ShardCache] = None,
-        shard_cache_max_bytes: Union[None, str, int] = None,
-    ) -> None:
-        super().__init__(host, port, once=once)
-        if shard_cache is not None and not isinstance(shard_cache, ShardCache):
-            shard_cache = ShardCache(shard_cache, max_bytes=shard_cache_max_bytes)
-        self.shard_cache = shard_cache
-
     def handle_session(self, conn: socket.socket) -> None:
-        _serve_session(conn, shard_cache=self.shard_cache)
+        _serve_session(conn)
 
 
-def serve_worker(
-    listen: str = "127.0.0.1:0",
-    once: bool = False,
-    shard_cache: Union[None, str, Path, ShardCache] = None,
-    shard_cache_max_bytes: Union[None, str, int] = None,
-) -> WorkerServer:
+def serve_worker(listen: str = "127.0.0.1:0", once: bool = False) -> WorkerServer:
     """Start a :class:`WorkerServer` on a daemon thread; returns it (bound).
 
     The blocking equivalent — what ``repro worker --listen`` runs — is
     ``WorkerServer(host, port).serve_forever()``.
     """
     host, port = parse_address(listen)
-    server = WorkerServer(
-        host, port, once=once, shard_cache=shard_cache,
-        shard_cache_max_bytes=shard_cache_max_bytes,
-    )
+    server = WorkerServer(host, port, once=once)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
 
 
 @contextmanager
-def local_worker_pool(
-    n_workers: int = 2,
-    host: str = "127.0.0.1",
-    shard_cache: Union[None, str, Path, ShardCache] = None,
-) -> Iterator[List[str]]:
+def local_worker_pool(n_workers: int = 2, host: str = "127.0.0.1") -> Iterator[List[str]]:
     """Spin up ``n_workers`` loopback worker servers (threads); yields addresses.
 
     Test/demo convenience: the in-process equivalent of launching
     ``repro worker`` on ``n_workers`` machines.
     """
-    servers = [serve_worker(f"{host}:0", shard_cache=shard_cache) for _ in range(int(n_workers))]
+    servers = [serve_worker(f"{host}:0") for _ in range(int(n_workers))]
     try:
         yield [server.address for server in servers]
     finally:
@@ -443,8 +370,7 @@ def ping_host(address: str, timeout: Optional[float] = None) -> float:
     Opens a throwaway ``mode="ping"`` session (no shard payload, no resident
     state) and runs one ``ping``.  Raises :class:`TransportError` if the
     worker is unreachable, hung past ``timeout`` (default: the codec's
-    connect timeout), or answers garbage — exactly the signal the heartbeat
-    monitor needs.
+    connect timeout), or answers garbage.
     """
     timeout = default_connect_timeout() if timeout is None else float(timeout)
     host, port = parse_address(address)
@@ -481,19 +407,15 @@ def ping_host(address: str, timeout: Optional[float] = None) -> float:
 class TCPTransport:
     """One shard's channel to a remote worker over a single socket.
 
-    Connecting performs the handshake: the ``hello`` names the shard by its
-    content key and — unless ``cache_first`` — carries the codes, which stay
-    resident on the worker.  A ``cache_first`` hello ships no payload; if the
-    worker's content-addressed cache misses it answers ``need_codes`` and the
-    codes travel in a follow-up frame.  ``submit`` writes the request frame
+    Connecting performs the handshake: the ``hello`` carries the codes, which
+    stay resident on the worker.  ``submit`` writes the request frame
     immediately (TCP pipelines; replies come back in order), ``result`` reads
     the next reply frame.
 
     Observability: :attr:`payload_bytes_shipped` counts the shard-code bytes
-    that actually travelled (0 on a warm cache hit), :attr:`cache_status`
-    holds the worker's handshake verdict (``"shipped"``/``"hit"``/``"miss"``)
-    and :attr:`last_elapsed` the worker-side wall seconds of the most recent
-    completed call (``None`` before the first one) — the rebalancer's input.
+    shipped in the hello and :attr:`last_elapsed` the worker-side wall
+    seconds of the most recent completed call (``None`` before the first
+    one).
     """
 
     def __init__(
@@ -505,14 +427,11 @@ class TCPTransport:
         timeout: Optional[float] = None,
         connect_timeout: Optional[float] = None,
         defer_welcome: bool = False,
-        content_key: Optional[str] = None,
-        cache_first: bool = False,
     ) -> None:
         self.address = address
         self._pending = 0
         self._welcomed = False
         self.payload_bytes_shipped = 0
-        self.cache_status: Optional[str] = None
         self.last_elapsed: Optional[float] = None
         connect_timeout = (
             default_connect_timeout() if connect_timeout is None else float(connect_timeout)
@@ -532,20 +451,13 @@ class TCPTransport:
             # timeout takes over once welcomed.
             self._sock.settimeout(connect_timeout)
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._codes = np.ascontiguousarray(codes, dtype=np.int64)
-            self._ncat = np.asarray(list(n_categories), dtype=np.int64)
+            codes = np.ascontiguousarray(codes, dtype=np.int64)
             self._expected_objects = int(codes.shape[0])
-            self.content_key = content_key
-            hello_meta = {"protocol": PROTOCOL_VERSION, "engine": engine}
-            if content_key is not None:
-                hello_meta["content_key"] = content_key
-            if cache_first and content_key is not None:
-                send_frame(self._sock, pack_message("hello", hello_meta))
-            else:
-                send_frame(self._sock, pack_message(
-                    "hello", hello_meta, codes=self._codes, ncat=self._ncat,
-                ))
-                self.payload_bytes_shipped += int(self._codes.nbytes)
+            send_frame(self._sock, pack_message(
+                "hello", {"protocol": PROTOCOL_VERSION, "engine": engine},
+                codes=codes, ncat=np.asarray(list(n_categories), dtype=np.int64),
+            ))
+            self.payload_bytes_shipped = int(codes.nbytes)
             # `defer_welcome` lets a multi-shard caller ship every shard's
             # hello first and gather the replies afterwards, so the workers'
             # engine builds overlap instead of serialising per host.
@@ -556,31 +468,18 @@ class TCPTransport:
             raise
 
     def await_welcome(self) -> None:
-        """Block until the worker acknowledges the resident shard (idempotent).
-
-        Handles the cache-first miss inline: a ``need_codes`` reply triggers
-        the payload ship, after which the welcome proper follows.
-        """
+        """Block until the worker acknowledges the resident shard (idempotent)."""
         if self._welcomed:
             return
         if self._sock is None:
             raise TransportError(f"transport to {self.address} is closed")
-        while True:
-            kind, meta, arrays = unpack_message(recv_frame(self._sock))
-            if kind == "error":
-                decode_result(kind, meta, arrays)  # raises TransportError
-            if kind == "need_codes":
-                send_frame(self._sock, pack_message(
-                    "codes", {}, codes=self._codes, ncat=self._ncat,
-                ))
-                self.payload_bytes_shipped += int(self._codes.nbytes)
-                continue
-            break
+        kind, meta, arrays = unpack_message(recv_frame(self._sock))
+        if kind == "error":
+            decode_result(kind, meta, arrays)  # raises TransportError
         if kind != "welcome" or meta.get("n_objects") != self._expected_objects:
             raise TransportError(
                 f"handshake with worker at {self.address} failed (got {kind!r})"
             )
-        self.cache_status = meta.get("cache")
         self._welcomed = True
         self._sock.settimeout(self._timeout)
 
@@ -643,12 +542,6 @@ class TCPExecutor(TransportExecutor):
     timeout:
         Optional per-operation socket timeout in seconds
         (default: ``REPRO_IO_TIMEOUT`` or block).
-    shard_cache:
-        Optional directory (or :class:`ShardCache`) of content-addressed
-        shard payloads.  When set, each shard is written to the cache on the
-        coordinator side and the handshake opens cache-first: a worker that
-        already holds the shard acknowledges without any payload travelling,
-        so a second fit of the same data ships zero shard bytes.
 
     Construction is transactional: if any shard fails to connect or
     handshake, every already-connected transport is closed before the error
@@ -668,7 +561,6 @@ class TCPExecutor(TransportExecutor):
         hosts: Optional[Sequence[str]] = None,
         placement: Optional[Sequence[int]] = None,
         timeout: Optional[float] = None,
-        shard_cache: Optional[Union[str, Path, ShardCache]] = None,
     ) -> None:
         if not hosts:
             raise ValueError(
@@ -688,28 +580,15 @@ class TCPExecutor(TransportExecutor):
             raise ValueError(f"placement indices must be in [0, {len(hosts)})")
         codes = np.asarray(codes, dtype=np.int64)
         n_categories = [int(m) for m in n_categories]
-        if shard_cache is not None and not isinstance(shard_cache, ShardCache):
-            shard_cache = ShardCache(shard_cache)
-        self.shard_cache = shard_cache
-        # Content keys name shards on the wire even without a cache directory
-        # (the worker may have its own), and let recovery restore from cache.
-        self.content_keys = [
-            shard_content_key(codes[idx], n_categories) for idx in shard_indices
-        ]
-        if shard_cache is not None:
-            for idx, key in zip(shard_indices, self.content_keys):
-                shard_cache.put(key, codes[idx], n_categories)
         transports: List[TCPTransport] = []
         try:
             # Two phases so the handshakes pipeline: ship every shard's hello
             # first, then gather the welcomes — worker-side engine builds for
             # shards on different hosts overlap instead of running serially.
-            for i, (idx, host_index) in enumerate(zip(shard_indices, placement)):
+            for idx, host_index in zip(shard_indices, placement):
                 transports.append(TCPTransport(
                     hosts[host_index], codes[idx], n_categories, engine,
                     timeout=timeout, defer_welcome=True,
-                    content_key=self.content_keys[i],
-                    cache_first=shard_cache is not None,
                 ))
             for transport in transports:
                 transport.await_welcome()
@@ -727,10 +606,6 @@ class TCPExecutor(TransportExecutor):
     def transport_stats(self) -> dict:
         """Aggregate wire observability across the live shard transports."""
         transports = [t for t in self._transports if t is not None]
-        statuses = [t.cache_status for t in transports]
         return {
             "payload_bytes_shipped": sum(t.payload_bytes_shipped for t in transports),
-            "cache_hits": sum(1 for s in statuses if s == "hit"),
-            "cache_misses": sum(1 for s in statuses if s == "miss"),
-            "cache_shipped": sum(1 for s in statuses if s in (None, "shipped")),
         }

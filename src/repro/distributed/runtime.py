@@ -38,6 +38,7 @@ from repro.distributed.transport import (
     resolve_shard_indices,
 )
 from repro.registry import register_clusterer
+from repro.utils.log import get_logger
 
 __all__ = [
     "ShardedMGCPL",
@@ -47,6 +48,13 @@ __all__ = [
     "default_n_shards",
     "resolve_shard_indices",
 ]
+
+_logger = get_logger(__name__)
+
+#: Options the ``tcp`` backend no longer takes.  Saved models and experiment
+#: configs may still name them; they are dropped with a warning so those
+#: archives keep loading.
+RETIRED_BACKEND_OPTIONS = ("shard_cache", "heartbeat_interval", "rebalance")
 
 
 # ---------------------------------------------------------------------- #
@@ -76,9 +84,17 @@ class _ShardedMixin:
         if hosts and "hosts" not in spec.options:
             raise ValueError(f"backend {spec.name!r} does not take hosts=")
         # Same early-validation story for the pass-through backend options
-        # (shard_cache/max_retries/... on tcp): reject unknown keys here, not
+        # (max_retries/... on tcp): reject unknown keys here, not
         # after the dataset has been sharded.
-        backend_options = dict(backend_options) if backend_options else None
+        backend_options = dict(backend_options) if backend_options else {}
+        retired = sorted(set(backend_options) & set(RETIRED_BACKEND_OPTIONS))
+        if retired:
+            _logger.warning(
+                "ignoring retired backend option(s) %s", ", ".join(retired)
+            )
+            for key in retired:
+                del backend_options[key]
+        backend_options = backend_options or None
         if backend_options:
             unknown = sorted(set(backend_options) - set(spec.options))
             if unknown:
@@ -110,7 +126,7 @@ class _ShardedMixin:
         )
         # Post-fit observability: the fit loop closes its executor, but the
         # object (and, on the resilient tcp backend, its recovery_events /
-        # rebalance_events / transport_stats) stays inspectable here.
+        # transport_stats) stays inspectable here.
         self.last_executor_ = executor
         return executor
 
@@ -144,10 +160,9 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
     hosts:
         ``"host:port"`` worker addresses (``backend="tcp"`` only).
     backend_options:
-        Extra backend options as a mapping — e.g.
-        ``{"shard_cache": "/var/cache/repro", "max_retries": 3,
-        "heartbeat_interval": 1.0, "rebalance": True}`` on ``"tcp"``.
-        Validated against the backend's registered option names.
+        Extra backend options as a mapping — e.g. ``{"max_retries": 3,
+        "timeout": 30.0}`` on ``"tcp"``.  Validated against the backend's
+        registered option names.
     """
 
     def __init__(

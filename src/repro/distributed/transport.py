@@ -33,12 +33,10 @@ name          executor                                             options
               pools (:mod:`repro.distributed.shm`); aliases
               ``process``, ``multiprocess``, ``processes``
 ``tcp``       one socket per shard to ``repro worker`` hosts,      ``hosts``,
-              with retry-reconnect, shard re-placement and a       ``placement``,
-              content-addressed shard cache                        ``timeout``,
-              (:mod:`repro.distributed.rpc` +                      ``shard_cache``,
-              :mod:`repro.distributed.resilience`); aliases        ``max_retries``,
-              ``streaming``, ``stream`` (kept for saved configs)   ``heartbeat_interval``,
-                                                                   ``rebalance``
+              with retry-reconnect and shard re-placement          ``placement``,
+              (:mod:`repro.distributed.rpc` +                      ``timeout``,
+              :mod:`repro.distributed.resilience`); aliases        ``max_retries``
+              ``streaming``, ``stream`` (kept for saved configs)
 ============  ===================================================  =========
 
 ``shm`` pool workers run OpenBLAS on ``cores // n_shards`` threads each and

@@ -68,23 +68,25 @@ them by name still nests their spans under the caller's.
 
 MGCPL's reassignment after a granularity level (``nearest_clusters``)
 gathers only the stranded rows' packed codes, :func:`sweep_rows` at a time,
-into one reused block; the last block is padded with all-missing rows up to
-:func:`block_floor`.  Only those rows are encoded and scored, and no
+into one reused block.  Only those rows are encoded and scored, and no
 ``(n, k)`` array exists at any point of a fit.
 
 A block holds :data:`SWEEP_BLOCK_BYTES` (1 MiB) of ``(rows, k)`` float64
 scores, but never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer
 than :data:`SWEEP_BLOCK_MIN_MACS` multiply-adds (:func:`block_floor`).  The
 rows are split evenly, so there is no short tail block, into a multiple of
-the worker count.  The floors keep the sweep bit-identical to
-the whole-matrix product.  OpenBLAS does not give the same bits for every
-shape: a single-row product differs at every ``k``, and on AVX-512 builds a
-product of at most 10**6 multiply-adds goes through a small-matrix kernel
-that sums the trailing cluster columns in another order (at ``k = 19`` and
-``M = 30``, blocks below ~1750 rows differ in about two thirds of the
-rows).  Above both floors a block reproduces the full ``onehot @ weights``
-— itself equal to the per-feature, loop-order sum — bit for bit.
-``similarity_matrix`` walks the same blocks.
+the worker count.  Only a pass over fewer rows than the floor has a short
+block — a small engine or shard, a short reassignment tail — and its
+one-hot is multiplied padded with zero rows up to the floor, the padded
+rows' products dropped before the leave-one-out correction.  The floors
+keep every block bit-identical to the whole-matrix product.  OpenBLAS does
+not give the same bits for every shape: a single-row product differs at
+every ``k``, and on AVX-512 builds a product of at most 10**6 multiply-adds
+goes through a small-matrix kernel that sums the trailing cluster columns
+in another order (at ``k = 19`` and ``M = 30``, blocks below ~1750 rows
+differ in about two thirds of the rows).  Above both floors a block
+reproduces the full ``onehot @ weights`` — itself equal to the per-feature,
+loop-order sum — bit for bit.  ``similarity_matrix`` walks the same blocks.
 
 Bounded memory
 --------------
@@ -526,9 +528,21 @@ class PackedFrequencyEngine(FrequencyEngine):
 
         With ``own`` given, the cell of object ``i``'s cluster ``own[i] >= 0``
         holds its leave-one-out similarity ``loo[i]`` instead.  ``out`` is an
-        optional C-contiguous ``(b, k)`` buffer for the result.
+        optional C-contiguous ``(b, k)`` buffer for the result.  A block of
+        fewer than :func:`block_floor` rows is multiplied padded with zero
+        rows up to the floor, so its GEMM keeps the whole-matrix bits too.
         """
-        sims = np.matmul(onehot, column_weights, out=out)
+        b = onehot.shape[0]
+        floor = block_floor(self.n_clusters, self.n_values)
+        if b < floor:
+            padded = np.zeros((floor, onehot.shape[1]), dtype=np.float64)
+            padded[:b] = onehot
+            sims = (padded @ column_weights)[:b]
+            if out is not None:
+                out[...] = sims
+                sims = out
+        else:
+            sims = np.matmul(onehot, column_weights, out=out)
         sims /= self.codes.shape[1]
         if own is not None:
             rows = np.flatnonzero(own >= 0)
@@ -716,26 +730,23 @@ class PackedFrequencyEngine(FrequencyEngine):
         """Blocked :meth:`FrequencyEngine.nearest_clusters`: only ``rows`` are scored.
 
         The requested rows' packed codes are gathered :func:`sweep_rows` at
-        a time into one reused block; a shorter last block is padded with
-        all-missing rows up to :func:`block_floor`, so every GEMM stays above
-        the BLAS shape floors and gives the whole-matrix bits.  Disallowed
-        clusters are set to ``-inf`` before the argmax.  No ``(n, k)`` array
-        is built, and only the requested rows (plus padding) are encoded.
+        a time into one reused block; a shorter last block is scored padded
+        up to :func:`block_floor` (:meth:`_similarity_block`), so every GEMM
+        gives the whole-matrix bits.  Disallowed clusters are set to ``-inf``
+        before the argmax.  No ``(n, k)`` array is built, and only the
+        requested rows are encoded.
         """
         rows = np.asarray(rows, dtype=np.int64)
         disallowed = ~np.asarray(allowed, dtype=np.bool_)
-        floor = block_floor(self.n_clusters, self.n_values)
-        size = max(floor, min(sweep_rows(self.n_clusters, self.n_values), rows.size))
+        size = max(1, min(sweep_rows(self.n_clusters, self.n_values), rows.size))
         score = self._block_scorer(feature_weights)
-        block = np.full((size, self.codes.shape[1]), -1, dtype=np.int64)
+        block = np.empty((size, self.codes.shape[1]), dtype=np.int64)
         buffer = np.empty((size, self.n_clusters), dtype=np.float64)
         nearest = np.empty(rows.size, dtype=np.int64)
         for lo in range(0, rows.size, size):
             hi = min(lo + size, rows.size)
-            scored = max(hi - lo, floor)
             block[: hi - lo] = self._packed_codes[rows[lo:hi]]
-            block[hi - lo : scored] = -1
-            sims = score(block[:scored], buffer[:scored])[: hi - lo]
+            sims = score(block[: hi - lo], buffer[: hi - lo])
             sims[:, disallowed] = -np.inf
             nearest[lo:hi] = sims.argmax(axis=1)
         return nearest

@@ -37,8 +37,7 @@ class ExperimentConfig:
     backend: Optional[str] = None
     hosts: Tuple[str, ...] = ()
     # Extra backend options as sorted (key, value) pairs (kept hashable for
-    # the frozen dataclass) — e.g. the tcp resilience knobs shard_cache /
-    # max_retries / heartbeat_interval / rebalance.
+    # the frozen dataclass) — e.g. the tcp backend's max_retries / timeout.
     backend_options: Tuple[Tuple[str, object], ...] = ()
     datasets: Tuple[str, ...] = ("Car", "Con", "Che", "Mus", "Tic", "Vot", "Bal", "Nur")
     learning_rate: float = 0.03

@@ -563,8 +563,8 @@ class TestBlockedReassignment:
         rows = np.flatnonzero(labels < 0)
         engine.nearest_clusters(rows, np.ones(k, dtype=bool), omega)
         assert len(scored) == 1
-        assert scored[0].shape[0] == packed_mod.block_floor(k, sum(SWEEP_CATS))
-        assert np.array_equal(scored[0][: rows.size], whole[rows])
+        assert rows.size < packed_mod.block_floor(k, sum(SWEEP_CATS))
+        assert scored[0].tobytes() == whole[rows].tobytes()
 
     def test_peak_allocation_stays_below_one_n_by_k_matrix(self):
         """No ``(n, k)`` float64 matrix: the trace peak stays below one."""
@@ -642,6 +642,52 @@ class TestBlockWorkers:
             outputs[workers] = engine_outputs(codes, SWEEP_CATS, k, kind, labels, broadcast)
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_engine_below_the_floor_keeps_the_whole_data_bits(self, kind, weighted):
+        """A 10-row engine (a small shard) scores its rows as the whole data does.
+
+        Its one block is below :func:`block_floor`; unpadded, its GEMM
+        changes the last bit of most rows at ``k = 19``, ``M = 30``.
+        """
+        k = 19
+        n = packed_mod.block_floor(k, sum(SWEEP_CATS)) + 100
+        codes, labels, broadcast = sweep_problem(k, n, k, False, weighted)
+        omega, blocked = broadcast.omega, broadcast.blocked
+        whole = packed_engine(codes, SWEEP_CATS, k, kind)
+        short = packed_engine(codes[:10], SWEEP_CATS, k, kind)
+        whole.restore(broadcast.state)
+        short.restore(broadcast.state)
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == 1
+        expected = whole.similarity_matrix(feature_weights=omega, exclude_labels=labels)[:10]
+        got = short.similarity_matrix(feature_weights=omega, exclude_labels=labels[:10])
+        assert got.tobytes() == expected.tobytes()
+        selection = packed_mod.select_winners(
+            expected, (1.0 - broadcast.rho) * broadcast.u, blocked
+        )
+        swept = short.competitive_sweep(labels[:10], broadcast.u, broadcast.rho, omega, blocked)
+        reference = (selection[0], *packed_mod.competition_statistics(*selection, k))
+        assert [a.tobytes() for a in swept] == [np.asarray(a).tobytes() for a in reference]
+
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
+    def test_single_row_engine_keeps_the_whole_data_bits(self, kind):
+        """One row, the shape whose unpadded product differs at every ``k``."""
+        k = 19
+        n = packed_mod.block_floor(k, sum(SWEEP_CATS)) + 100
+        codes, labels, broadcast = sweep_problem(k, n, k, False, True)
+        whole = packed_engine(codes, SWEEP_CATS, k, kind)
+        whole.restore(broadcast.state)
+        for row in (0, n // 2, n - 1):
+            single = packed_engine(codes[row : row + 1], SWEEP_CATS, k, kind)
+            single.restore(broadcast.state)
+            expected = whole.similarity_matrix(
+                feature_weights=broadcast.omega, exclude_labels=labels
+            )[row : row + 1]
+            got = single.similarity_matrix(
+                feature_weights=broadcast.omega, exclude_labels=labels[row : row + 1]
+            )
+            assert got.tobytes() == expected.tobytes()
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)

@@ -613,3 +613,34 @@ def test_retired_verb_ends_the_session_and_the_worker_keeps_serving(
         small_clusters
     )
     np.testing.assert_array_equal(over_tcp.labels_, serial.labels_)
+
+
+def test_cache_first_hello_gets_a_protocol_error_and_the_worker_keeps_serving(
+    small_clusters,
+):
+    """An older coordinator's hello that names its shard by a content key
+    but ships no codes is refused plainly: no ``need_codes``, no hang."""
+    with rpc.local_worker_pool(1) as hosts:
+        host, port = rpc.parse_address(hosts[0])
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.settimeout(5)
+        try:
+            rpc.send_frame(sock, rpc.pack_message("hello", {
+                "protocol": rpc.PROTOCOL_VERSION, "engine": "auto",
+                "content_key": "0" * 64,
+            }))
+            kind, meta, _ = rpc.unpack_message(rpc.recv_frame(sock))
+            assert kind == "error"
+            assert meta["error"] == "ProtocolError"
+            assert "carries no shard codes" in meta["message"]
+            # Then the worker closes the session.
+            assert sock.recv(1 << 16) == b""
+        finally:
+            sock.close()
+        over_tcp = ShardedMGCPL(
+            n_shards=1, backend="tcp", hosts=hosts, random_state=5
+        ).fit(small_clusters)
+    serial = ShardedMGCPL(n_shards=1, backend="serial", random_state=5).fit(
+        small_clusters
+    )
+    np.testing.assert_array_equal(over_tcp.labels_, serial.labels_)
