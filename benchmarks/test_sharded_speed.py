@@ -2,16 +2,18 @@
 
 Two measurements pin the sharded runtime into the bench trajectory:
 
-* ``test_sharded_equivalence_smoke`` (always runs) — a small fit through the
-  real shared-memory worker-pool backend, asserting the sharded labels agree
-  with the serial ones; this keeps the runtime exercised on every CI run.
+* ``test_sharded_equivalence_smoke`` (always runs) — a small fit over the
+  ``tcp`` backend on loopback ``repro worker`` servers
+  (:func:`~repro.distributed.rpc.local_worker_pool`), asserting the sharded
+  labels agree with the serial ones; this keeps the runtime exercised on
+  every CI run.
 * ``test_sharded_speedup`` — the acceptance measurement: serial vs 4-shard
-  wall clock on one Fig. 6-style epoch workload.  The default size is scaled
-  down so the suite stays fast; export ``REPRO_BENCH_FULL=1`` for the
-  n=200 000 acceptance scale.  The >1.5x speedup assertion is only armed when
-  the machine actually has >= 4 physical workers to give (process-level
-  parallelism cannot beat serial on a single core); on smaller machines the
-  timings are still measured and reported via ``benchmark.extra_info``.
+  ``tcp`` wall clock on one Fig. 6-style epoch workload.  The default size
+  is scaled down so the suite stays fast; export ``REPRO_BENCH_FULL=1`` for
+  the n=200 000 acceptance scale.  The >1.5x speedup assertion is only armed
+  when the machine actually has >= 4 cores to give (sharding cannot beat
+  serial on a single core); on smaller machines the timings are still
+  measured and reported via ``benchmark.extra_info``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from repro.core.mgcpl import MGCPL
 from repro.data.generators import make_categorical_clusters
 from repro.distributed import ShardedMGCPL
+from repro.distributed.rpc import local_worker_pool
 from repro.metrics import adjusted_rand_index
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -51,10 +54,14 @@ def test_sharded_equivalence_smoke(benchmark):
     )
     serial = MGCPL(**MGCPL_PARAMS).fit(ds)
 
-    def sharded_fit():
-        return ShardedMGCPL(n_shards=2, backend="shm", **MGCPL_PARAMS).fit(ds)
+    with local_worker_pool(2) as hosts:
 
-    model = benchmark.pedantic(sharded_fit, iterations=1, rounds=1)
+        def sharded_fit():
+            return ShardedMGCPL(
+                n_shards=2, backend="tcp", hosts=hosts, **MGCPL_PARAMS
+            ).fit(ds)
+
+        model = benchmark.pedantic(sharded_fit, iterations=1, rounds=1)
     ari = adjusted_rand_index(serial.labels_, model.labels_)
     benchmark.extra_info["ari_vs_serial"] = float(ari)
     assert ari >= 0.95, f"sharded fit must match serial labels; ARI={ari:.3f}"
@@ -67,14 +74,16 @@ def test_sharded_speedup(benchmark):
     serial = MGCPL(**MGCPL_PARAMS).fit(ds)
     serial_seconds = time.perf_counter() - start
 
-    def sharded_fit():
-        return ShardedMGCPL(
-            n_shards=BENCH_SHARDS, backend="shm", **MGCPL_PARAMS
-        ).fit(ds)
+    with local_worker_pool(BENCH_SHARDS) as hosts:
 
-    start = time.perf_counter()
-    model = benchmark.pedantic(sharded_fit, iterations=1, rounds=1)
-    sharded_seconds = time.perf_counter() - start
+        def sharded_fit():
+            return ShardedMGCPL(
+                n_shards=BENCH_SHARDS, backend="tcp", hosts=hosts, **MGCPL_PARAMS
+            ).fit(ds)
+
+        start = time.perf_counter()
+        model = benchmark.pedantic(sharded_fit, iterations=1, rounds=1)
+        sharded_seconds = time.perf_counter() - start
 
     speedup = serial_seconds / max(sharded_seconds, 1e-9)
     benchmark.extra_info["n_objects"] = BENCH_N

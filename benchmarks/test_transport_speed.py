@@ -1,24 +1,18 @@
-"""Benchmark: sweep throughput of the serial / shm / TCP backends.
+"""Benchmark: sweep throughput of the serial and TCP backends.
 
 One MGCPL sweep is the unit of work of the whole distributed runtime: the
 coordinator broadcasts ``O(k * M)`` counts, every shard runs the competition
 for its objects, and the shard states merge back.  This benchmark times that
-round trip through ``make_executor`` for every registered transport on the
-same data and shard layout, which puts a number on each transport's overhead
+round trip through ``make_executor`` for every registered backend on the
+same data and shard layout, which puts a number on the transport's overhead
 (loopback TCP pays two codec passes and a socket hop per shard per sweep;
-shm pays pickling of the per-sweep payloads; serial pays nothing).
+serial pays nothing).
 
 The default size is scaled down so the suite stays fast; export
 ``REPRO_BENCH_FULL=1`` for the acceptance scale.  Throughput assertions are
 not armed in the sweep comparison — relative backend speed is
-machine-dependent — but every backend must produce **bit-identical** sweep
-outcomes, which is asserted on every run.  The one armed assertion is
-``test_shm_warm_fit_beats_cold_fit``: at n=50 000 a fit on the shm backend's
-resident (warm) worker pools must beat a fit that first spawns its pools
-(cold, right after ``shm.shutdown()``) — the spawn cost the resident design
-exists to amortise; both numbers land in ``BENCH_transport.json``.
-``test_shm_vs_serial_per_sweep`` records, unarmed, the same one-sweep fit on
-``serial`` against warm ``shm`` (BLAS threads split among the shm workers).
+machine-dependent — but both backends must produce **bit-identical** sweep
+outcomes, which is asserted on every run.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from benchmarks import reporting
 from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
 from repro.core.sync import SweepBroadcast
 from repro.data.generators import make_categorical_clusters
-from repro.distributed import make_executor, shm
+from repro.distributed import make_executor
 from repro.distributed.rpc import local_worker_pool
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -89,7 +83,6 @@ def test_transport_sweep_throughput(benchmark):
 
     def all_backends():
         timed("serial")
-        timed("shm")
         with local_worker_pool(BENCH_SHARDS) as hosts:
             timed("tcp", hosts=hosts)
 
@@ -112,137 +105,12 @@ def test_transport_sweep_throughput(benchmark):
     benchmark.extra_info["n_objects"] = BENCH_N
     benchmark.extra_info["n_shards"] = BENCH_SHARDS
 
-    # Transports must not change the math: every backend's final sweep is
+    # The transport must not change the math: the tcp final sweep is
     # bit-identical (same shard layout, same merge order, exact codecs).
-    reference = outcomes["serial"]
-    for name in ("shm", "tcp"):
-        np.testing.assert_array_equal(outcomes[name].labels, reference.labels)
-        np.testing.assert_array_equal(outcomes[name].state.packed, reference.state.packed)
-        np.testing.assert_array_equal(outcomes[name].win_counts, reference.win_counts)
-    shm.shutdown()
-
-
-# Per-fit scale is fixed at the acceptance size regardless of
-# REPRO_BENCH_FULL: the pool-spawn overhead the resident pools remove is only
-# worth measuring against a non-trivial fit.
-PERFIT_N, PERFIT_D, PERFIT_K, PERFIT_SHARDS = 50_000, 24, 32, 4
-
-
-@pytest.fixture(scope="module")
-def perfit_problem():
-    """``(codes, n_categories, labels, omega)`` of the n=50k per-fit benches."""
-    ds = make_categorical_clusters(
-        n_objects=PERFIT_N, n_features=PERFIT_D, n_clusters=8, n_categories=6,
-        purity=0.75, random_state=17, name="perfit",
-    )
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, PERFIT_K, size=PERFIT_N).astype(np.int64)
-    omega = np.full((PERFIT_D, PERFIT_K), 1.0 / PERFIT_D)
-    return ds.codes, list(ds.n_categories), labels, omega
-
-
-def _one_sweep_fit(backend, codes, cats, labels, omega):
-    """One short fit: construct, begin epoch, one sweep, tear down.
-
-    Returns ``(seconds, outcome)``.
-    """
-    start = time.perf_counter()
-    with make_executor(backend, codes, cats, shards=PERFIT_SHARDS) as executor:
-        state = executor.begin_epoch(PERFIT_K, labels)
-        outcome = executor.sweep(
-            SweepBroadcast(
-                state=state,
-                u=cluster_weight_from_delta(np.ones(PERFIT_K)),
-                rho=winning_ratio(np.zeros(PERFIT_K)),
-                omega=omega,
-                blocked=(state.sizes <= 0),
-            )
-        )
-    return time.perf_counter() - start, outcome
-
-
-def test_shm_warm_fit_beats_cold_fit(benchmark, perfit_problem):
-    """Fits on resident shm pools must beat fits that spawn them, at n=50k."""
-
-    def one_fit():
-        return _one_sweep_fit("shm", *perfit_problem)[0]
-
-    def cold_fit():
-        """A fit that must spawn its worker pools first."""
-        shm.shutdown()
-        return one_fit()
-
-    # The first fit is warm-up (imports, page cache, and the resident pool
-    # spawn) and is excluded; every one_fit() after it runs on warm pools.
-    one_fit()
-    warm_seconds = min(one_fit() for _ in range(3))
-    cold_seconds = min(cold_fit() for _ in range(3))
-    speedup = cold_seconds / warm_seconds
-
-    benchmark.pedantic(one_fit, iterations=1, rounds=1)
-    benchmark.extra_info["cold_seconds"] = cold_seconds
-    benchmark.extra_info["warm_seconds"] = warm_seconds
-    benchmark.extra_info["speedup"] = speedup
-    reporting.record(
-        "transport",
-        "shm_warm_vs_cold_per_fit",
-        n=PERFIT_N,
-        d=PERFIT_D,
-        k=PERFIT_K,
-        wall_seconds=warm_seconds,
-        throughput=PERFIT_N / warm_seconds,
-        speedup=speedup,
-        baseline="shm-cold",
-        baseline_seconds=cold_seconds,
-        n_shards=PERFIT_SHARDS,
-    )
-    shm.shutdown()
-    assert warm_seconds < cold_seconds, (
-        f"a fit on resident shm pools must beat one that spawns them at "
-        f"n={PERFIT_N}: warm {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s"
-    )
-
-
-def test_shm_vs_serial_per_sweep(benchmark, perfit_problem):
-    """Record-only: one-sweep fits on ``serial`` vs warm ``shm`` at n=50k.
-
-    No speed ratio is armed — whether the BLAS-pinned shm workers beat
-    the in-process serial sweep depends on the host's cores — but both
-    backends must produce bit-identical outcomes.
-    """
-    _one_sweep_fit("shm", *perfit_problem)  # warm-up: spawns the resident pools
-    runs = {
-        backend: [_one_sweep_fit(backend, *perfit_problem) for _ in range(3)]
-        for backend in ("serial", "shm")
-    }
-    seconds = {backend: min(t for t, _ in fits) for backend, fits in runs.items()}
-    reference = runs["serial"][0][1]
-    for _, outcome in runs["shm"]:
-        np.testing.assert_array_equal(outcome.labels, reference.labels)
-        np.testing.assert_array_equal(outcome.state.packed, reference.state.packed)
-        np.testing.assert_array_equal(outcome.win_counts, reference.win_counts)
-
-    benchmark.pedantic(
-        _one_sweep_fit, args=("shm", *perfit_problem), iterations=1, rounds=1
-    )
-    speedup = seconds["serial"] / seconds["shm"]
-    benchmark.extra_info["serial_seconds"] = seconds["serial"]
-    benchmark.extra_info["shm_seconds"] = seconds["shm"]
-    benchmark.extra_info["speedup"] = speedup
-    reporting.record(
-        "transport",
-        "shm_vs_serial_per_sweep",
-        n=PERFIT_N,
-        d=PERFIT_D,
-        k=PERFIT_K,
-        wall_seconds=seconds["shm"],
-        throughput=PERFIT_N / seconds["shm"],
-        speedup=speedup,
-        baseline="serial",
-        baseline_seconds=seconds["serial"],
-        n_shards=PERFIT_SHARDS,
-    )
-    shm.shutdown()
+    reference, over_tcp = outcomes["serial"], outcomes["tcp"]
+    np.testing.assert_array_equal(over_tcp.labels, reference.labels)
+    np.testing.assert_array_equal(over_tcp.state.packed, reference.state.packed)
+    np.testing.assert_array_equal(over_tcp.win_counts, reference.win_counts)
 
 
 def test_tcp_worker_recovery_time(benchmark):

@@ -38,7 +38,7 @@ Examples::
 
     python -m repro run table3 --n-jobs 4
     python -m repro run table3 --methods MCDC "MCDC+F."
-    python -m repro run fig6 --backend shm
+    python -m repro run fig6 --backend serial
     python -m repro fit Vot --method mcdc --out vot.npz --seed 0
     python -m repro fit Vot --method mcdc@sharded --backend tcp \
         --workers host1:9001,host2:9001 --out vot.npz

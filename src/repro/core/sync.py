@@ -23,11 +23,10 @@ of the objects:
 Everything here is transport-agnostic: :class:`InProcessShardExecutor` runs
 the shards serially in the calling process (the default execution path of
 MGCPL, with a single shard), and doubles as the ``"serial"`` backend of the
-executor registry (:mod:`repro.distributed.transport`), whose other backends
-drive the same :class:`ShardWorker` objects inside resident worker
-processes on one host (``"shm"``) or behind ``repro worker`` TCP servers on
-other hosts (``"tcp"``, :mod:`repro.distributed.rpc`).  The one :class:`ShardWorker`
-implementation serves every transport.
+executor registry (:mod:`repro.distributed.transport`), whose ``"tcp"``
+backend drives the same :class:`ShardWorker` objects behind ``repro worker``
+TCP servers (:mod:`repro.distributed.rpc`).  The one :class:`ShardWorker`
+implementation serves both.
 """
 
 from __future__ import annotations

@@ -10,11 +10,10 @@ The paper motivates MCDC with two distributed-computing use cases:
    performance-consistent groups that can be selected per task.
 
 This package provides the *real* sharded execution runtime — a
-transport-pluggable executor API (:mod:`repro.distributed.transport`:
-``make_executor`` over a ``"serial"`` / ``"shm"`` / ``"tcp"`` backend
-registry: in-process reference, one host, many hosts), the shared-memory
-single-host backend (:mod:`repro.distributed.shm`), the multi-host TCP
-backend (:mod:`repro.distributed.rpc` + :mod:`repro.distributed.resilience`:
+pluggable executor API (:mod:`repro.distributed.transport`:
+``make_executor`` over a ``"serial"`` / ``"tcp"`` backend registry: one
+host's cores in-process, many hosts), the multi-host TCP backend
+(:mod:`repro.distributed.rpc` + :mod:`repro.distributed.resilience`:
 a ``repro worker`` server plus a fault-tolerant socket coordinator) and
 the ``ShardedMGCPL`` / ``ShardedCAME`` / ``ShardedMCDC`` estimator wrappers
 (:mod:`repro.distributed.runtime`) — alongside a lightweight simulated
@@ -32,11 +31,9 @@ from repro.distributed.runtime import (
     ShardedMCDCEncoder,
     ShardedMGCPL,
 )
-from repro.distributed.shm import ShmExecutor
 from repro.distributed.transport import (
     RemoteWorkerError,
     ShardExecutor,
-    ShardTransport,
     TransportError,
     available_backends,
     default_n_shards,
@@ -64,8 +61,6 @@ __all__ = [
     "ShardedMCDC",
     "ShardedMCDCEncoder",
     "ShardExecutor",
-    "ShardTransport",
-    "ShmExecutor",
     "ResilientTCPExecutor",
     "RetryPolicy",
     "TransportError",

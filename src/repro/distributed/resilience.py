@@ -40,12 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.distributed.rpc import TCPExecutor, TCPTransport
-from repro.distributed.transport import (
-    RemoteWorkerError,
-    TransportError,
-    close_all,
-    register_backend,
-)
+from repro.distributed.transport import RemoteWorkerError, TransportError, register_backend
 
 __all__ = ["RetryPolicy", "ResilientTCPExecutor"]
 
@@ -234,7 +229,7 @@ class ResilientTCPExecutor(TCPExecutor):
         old, self._transports[index] = self._transports[index], None
         if old is not None:
             self._retired_payload_bytes += old.payload_bytes_shipped
-        close_all([old])
+            old.close()
         if method != "begin_epoch" and self._n_clusters is None:
             raise TransportError(
                 f"shard {index} lost its worker connection before any epoch "
@@ -262,12 +257,12 @@ class ResilientTCPExecutor(TCPExecutor):
                 result = transport.result()
             except RemoteWorkerError:
                 if transport is not None:
-                    close_all([transport])
+                    transport.close()
                 raise
             except TransportError as exc:
                 last_error = exc
                 if transport is not None:
-                    close_all([transport])
+                    transport.close()
                 self._mark_dead(target)
                 continue
             self._transports[index] = transport

@@ -14,8 +14,7 @@ tier and lives in :mod:`repro.distributed.codec`):
   and subsequent frames are shard-local method calls.  One server therefore
   hosts any number of shards (one connection each) and any number of
   sequential fits.
-* **Coordinator** — :class:`TCPTransport` implements the
-  :class:`~repro.distributed.transport.ShardTransport` protocol over one
+* **Coordinator** — :class:`TCPTransport` is one shard's channel over one
   socket; ``submit`` writes the request frame immediately (the socket
   pipelines), ``result`` reads reply frames in order.  :class:`TCPExecutor`
   connects one transport per shard, placing shard *i* on
@@ -65,12 +64,7 @@ from repro.distributed.codec import (
     send_frame,
     unpack_message,
 )
-from repro.distributed.transport import (
-    RemoteWorkerError,
-    TransportError,
-    TransportExecutor,
-    close_all,
-)
+from repro.distributed.transport import RemoteWorkerError, ShardExecutor, TransportError
 from repro.engine import EngineState
 
 __all__ = [
@@ -528,8 +522,12 @@ class TCPTransport:
                 pass
 
 
-class TCPExecutor(TransportExecutor):
+class TCPExecutor(ShardExecutor):
     """Shard executor whose shards live behind ``repro worker`` TCP servers.
+
+    One :class:`TCPTransport` per shard.  ``_map`` pipelines: every shard's
+    request goes out before any reply is awaited, so the shard steps on
+    different workers overlap.
 
     Parameters (beyond the registry's standard ones)
     ----------
@@ -593,15 +591,32 @@ class TCPExecutor(TransportExecutor):
             for transport in transports:
                 transport.await_welcome()
         except BaseException:
-            close_all(transports)
+            for transport in transports:
+                transport.close()
             raise
-        super().__init__(transports, shard_indices, codes.shape[0])
+        super().__init__(shard_indices, codes.shape[0])
+        self._transports: List[Optional[TCPTransport]] = transports
         self.hosts = hosts
         self.placement = placement
         self._engine = engine
         self._timeout = timeout
         self._codes = codes
         self._n_categories = n_categories
+
+    def _map(self, method: str, per_shard_args=None, common: tuple = ()) -> list:
+        if not self._transports:
+            raise TransportError(f"executor is closed; cannot run {method!r}")
+        if per_shard_args is None:
+            per_shard_args = [() for _ in self.shard_indices]
+        for transport, args in zip(self._transports, per_shard_args):
+            transport.submit(method, (*args, *common))
+        return [transport.result() for transport in self._transports]
+
+    def close(self) -> None:
+        transports, self._transports = self._transports, []
+        for transport in transports:
+            if transport is not None:
+                transport.close()
 
     def transport_stats(self) -> dict:
         """Aggregate wire observability across the live shard transports."""

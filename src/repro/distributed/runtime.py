@@ -3,21 +3,19 @@
 :class:`ShardedMGCPL` / :class:`ShardedCAME` / :class:`ShardedMCDC` are
 drop-in wrappers over the serial estimators that construct their shard
 executor through :func:`~repro.distributed.transport.make_executor`, so any
-registered backend — ``"serial"``, ``"shm"`` (the default), ``"tcp"`` or a
-plugin — drives the *same* epoch/iteration loops.  Sharded results match the
+registered backend — ``"serial"`` (the default), ``"tcp"`` or a plugin —
+drives the *same* epoch/iteration loops.  Sharded results match the
 serial ones: exactly for the count statistics and CAME (whose per-object
 distances do not cross shard boundaries), and to floating-point tolerance
 for MGCPL's learning trajectory (shard-wise partial sums of the competition
 statistics regroup float additions).
 
-With ``backend="serial"`` the estimators degrade to the in-process
-multi-shard executor — the full shard/merge protocol without processes —
-which is what the equivalence tests exercise deterministically and what
-single-core machines fall back to.  ``backend="shm"`` runs the shards on
-resident worker pools over one shared-memory segment
-(:mod:`repro.distributed.shm`; ``"process"`` is an alias of it), and with
-``backend="tcp"`` the shards live behind ``repro worker`` servers on other
-hosts (:mod:`repro.distributed.rpc`).
+With ``backend="serial"`` the estimators run the in-process multi-shard
+executor — the full shard/merge protocol without processes, each shard's
+sweep on the host's cores through the packed engine's block workers —
+which is what the equivalence tests exercise deterministically.  With
+``backend="tcp"`` the shards live behind ``repro worker`` servers, on other
+hosts or on this one.
 """
 
 from __future__ import annotations
@@ -56,6 +54,12 @@ _logger = get_logger(__name__)
 #: archives keep loading.
 RETIRED_BACKEND_OPTIONS = ("shard_cache", "heartbeat_interval", "rebalance")
 
+#: Constructor parameters the ``Sharded*`` estimators no longer take (the
+#: folded single-host process backend's multiprocessing context).  Saved
+#: models still carry them, always ``null``; ``load_model`` drops them with
+#: a warning (:mod:`repro.persistence`).
+RETIRED_PARAMETERS = ("mp_context",)
+
 
 # ---------------------------------------------------------------------- #
 # Sharded estimators
@@ -67,7 +71,6 @@ class _ShardedMixin:
         self,
         n_shards: ShardSpec,
         backend: str,
-        mp_context,
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
     ) -> None:
@@ -104,7 +107,6 @@ class _ShardedMixin:
                 )
         self.n_shards = n_shards
         self.backend = backend
-        self.mp_context = mp_context
         self.hosts = hosts
         self.backend_options = backend_options
 
@@ -112,8 +114,6 @@ class _ShardedMixin:
         options = {}
         if self.backend_options:
             options.update(self.backend_options)
-        if self.mp_context is not None:
-            options["mp_context"] = self.mp_context
         if self.hosts is not None:
             options["hosts"] = list(self.hosts)
         executor = make_executor(
@@ -153,10 +153,8 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
         assignment vector, a :class:`PartitionPlan`, or index arrays — are
         accepted too.
     backend:
-        A registered executor backend: ``"shm"`` (default), ``"serial"``,
-        or ``"tcp"`` (shards on remote ``repro worker`` servers).
-    mp_context:
-        Optional multiprocessing context (``backend="shm"`` only).
+        A registered executor backend: ``"serial"`` (default) or ``"tcp"``
+        (shards on ``repro worker`` servers).
     hosts:
         ``"host:port"`` worker addresses (``backend="tcp"`` only).
     backend_options:
@@ -168,8 +166,7 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
     def __init__(
         self,
         n_shards: ShardSpec = None,
-        backend: str = "shm",
-        mp_context=None,
+        backend: str = "serial",
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
         **mgcpl_params,
@@ -180,7 +177,7 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
                 "updates use MGCPL(update_mode='online')"
             )
         super().__init__(**mgcpl_params)
-        self._init_sharding(n_shards, backend, mp_context, hosts, backend_options)
+        self._init_sharding(n_shards, backend, hosts, backend_options)
 
     def _make_executor(self, codes: np.ndarray, n_categories: List[int]) -> ShardExecutor:
         return self._make_coordinator(codes, n_categories, self.engine)
@@ -205,14 +202,13 @@ class ShardedCAME(_ShardedMixin, CAME):
         self,
         n_clusters: int,
         n_shards: ShardSpec = None,
-        backend: str = "shm",
-        mp_context=None,
+        backend: str = "serial",
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
         **came_params,
     ) -> None:
         super().__init__(n_clusters, **came_params)
-        self._init_sharding(n_shards, backend, mp_context, hosts, backend_options)
+        self._init_sharding(n_shards, backend, hosts, backend_options)
 
     def _make_executor(self, gamma: np.ndarray, n_categories) -> ShardExecutor:
         return self._make_coordinator(gamma, n_categories, self.engine)
@@ -224,20 +220,18 @@ class ShardedMCDCEncoder(_ShardedMixin, MCDCEncoder):
     def __init__(
         self,
         n_shards: ShardSpec = None,
-        backend: str = "shm",
-        mp_context=None,
+        backend: str = "serial",
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
         **encoder_params,
     ) -> None:
         super().__init__(**encoder_params)
-        self._init_sharding(n_shards, backend, mp_context, hosts, backend_options)
+        self._init_sharding(n_shards, backend, hosts, backend_options)
 
     def _build_mgcpl(self) -> ShardedMGCPL:
         return ShardedMGCPL(
             n_shards=self.n_shards,
             backend=self.backend,
-            mp_context=self.mp_context,
             hosts=self.hosts,
             backend_options=self.backend_options,
             k0=self.k0,
@@ -270,20 +264,18 @@ class ShardedMCDC(_ShardedMixin, MCDC):
         self,
         n_clusters: int,
         n_shards: ShardSpec = None,
-        backend: str = "shm",
-        mp_context=None,
+        backend: str = "serial",
         hosts: Optional[Sequence[str]] = None,
         backend_options=None,
         **mcdc_params,
     ) -> None:
         super().__init__(n_clusters, **mcdc_params)
-        self._init_sharding(n_shards, backend, mp_context, hosts, backend_options)
+        self._init_sharding(n_shards, backend, hosts, backend_options)
 
     def _build_encoder(self, seed: int) -> ShardedMCDCEncoder:
         return ShardedMCDCEncoder(
             n_shards=self.n_shards,
             backend=self.backend,
-            mp_context=self.mp_context,
             hosts=self.hosts,
             backend_options=self.backend_options,
             k0=self.k0,
@@ -298,7 +290,6 @@ class ShardedMCDC(_ShardedMixin, MCDC):
             n_clusters=self.n_clusters,
             n_shards=self.n_shards,
             backend=self.backend,
-            mp_context=self.mp_context,
             hosts=self.hosts,
             backend_options=self.backend_options,
             weighted=self.weighted_aggregation,

@@ -1,4 +1,4 @@
-"""The shard-executor transport API: one registry, pluggable backends.
+"""The shard-executor API: one registry, two backends.
 
 PR 2 factored MGCPL's batch epoch (and CAME's alternating optimisation) into
 a bulk-synchronous LocalUpdate/GlobalStep loop whose only contact with the
@@ -11,27 +11,19 @@ implicit protocol into a formal API, mirroring the clusterer registry of
   layout and implements the whole GlobalStep plumbing (scatter labels, gather
   per-shard results, merge :class:`~repro.engine.state.EngineState` counts)
   over a single abstract primitive, :meth:`ShardExecutor._map`.
-* :class:`ShardTransport` is the per-shard channel protocol: a backend ships
-  a shard's codes once when the transport is created, then exchanges only the
-  small method payloads (``O(k * M)`` counts, labels — never the data).
-  :class:`TransportExecutor` is the generic executor over a list of
-  transports; its ``_map`` *pipelines*: every shard's request is submitted
-  before any result is awaited, so shard steps genuinely overlap regardless
-  of whether the transport is a process pool or a TCP socket.
 * :func:`register_backend` / :func:`make_executor` form the backend registry.
-  ``make_executor("serial" | "shm" | "tcp", ...)`` is the only construction
-  path for backends — estimators never branch on backend names.
+  ``make_executor("serial" | "tcp", ...)`` is the only construction path for
+  backends — estimators never branch on backend names.
 
-Backends shipped with the library, one per job — in-process reference, one
-host, many hosts:
+Backends shipped with the library, one per job — one host, many hosts:
 
 ============  ===================================================  =========
 name          executor                                             options
 ============  ===================================================  =========
-``serial``    :class:`repro.core.sync.InProcessShardExecutor`     —
-``shm``       zero-copy shared-memory segment + resident worker    ``mp_context``
-              pools (:mod:`repro.distributed.shm`); aliases
-              ``process``, ``multiprocess``, ``processes``
+``serial``    :class:`repro.core.sync.InProcessShardExecutor`:     —
+              in-process shards whose sweeps use the host's cores
+              through the packed engine's block workers; aliases
+              keep the names of the folded single-host backends
 ``tcp``       one socket per shard to ``repro worker`` hosts,      ``hosts``,
               with retry-reconnect and shard re-placement          ``placement``,
               (:mod:`repro.distributed.rpc` +                      ``timeout``,
@@ -39,11 +31,13 @@ name          executor                                             options
               ``streaming``, ``stream`` (kept for saved configs)
 ============  ===================================================  =========
 
-``shm`` pool workers run OpenBLAS on ``cores // n_shards`` threads each and
-``repro worker`` processes on one (:mod:`repro.utils.blas`; an operator-set
-``OPENBLAS_NUM_THREADS`` wins), so parallelism comes from the number of
-shards: place one shard per core.  ``serial`` runs in the caller's process
-and keeps every BLAS thread.  The thread count never changes a result bit.
+``repro worker`` processes run OpenBLAS on one thread
+(:mod:`repro.utils.blas`; an operator-set ``OPENBLAS_NUM_THREADS`` wins),
+so a tcp fit's parallelism comes from the number of shards: place one shard
+per core, on as many hosts as there are, or on one host with one worker per
+core (:func:`repro.distributed.rpc.local_worker_pool` runs loopback workers
+as threads of the caller, for tests and demos).  ``serial`` runs in the
+caller's process.  Neither thread count changes a result bit.
 
 Transport failures (a worker process dying, a socket closing mid-sweep)
 surface as :class:`TransportError` rather than hangs or bare OS errors.
@@ -71,21 +65,10 @@ from repro.engine import EngineState
 from repro.utils.registry import NamedRegistry
 from repro.utils.validation import check_positive_int
 
-try:  # Protocol is typing-only; keep 3.9 compatibility explicit.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - python < 3.8
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
-
 __all__ = [
     "TransportError",
     "RemoteWorkerError",
-    "ShardTransport",
     "ShardExecutor",
-    "TransportExecutor",
     "BackendSpec",
     "register_backend",
     "make_executor",
@@ -143,8 +126,7 @@ def default_n_shards(requested: Optional[int] = None) -> int:
     return min(max(os.cpu_count() or 1, 1), MAX_DEFAULT_SHARDS)
 
 
-#: Cap on the *default* shard count (explicit requests may exceed it; the
-#: shm backend applies its own spawn limit).
+#: Cap on the *default* shard count (explicit requests may exceed it).
 MAX_DEFAULT_SHARDS = 64
 
 
@@ -174,44 +156,6 @@ def resolve_shard_indices(n: int, shards: ShardSpec) -> List[np.ndarray]:
         raise ValueError("shard indices must cover every object exactly once")
     # Drop empty shards (a PartitionPlan may leave a bin empty on tiny data).
     return [idx for idx in indices if idx.size > 0]
-
-
-# ---------------------------------------------------------------------- #
-# The per-shard transport protocol
-# ---------------------------------------------------------------------- #
-@runtime_checkable
-class ShardTransport(Protocol):
-    """One shard's pipelined request channel.
-
-    A transport is created *connected*: the shard's codes are shipped to the
-    remote side exactly once, by the backend factory, before the transport is
-    handed to the executor.  After that only method payloads travel.
-
-    ``submit`` must not block on the remote computation (send-and-return),
-    so the executor can fan a sweep out to every shard before gathering;
-    ``result`` returns the submitted calls' results in submission order.
-    """
-
-    def submit(self, method: str, args: tuple) -> None:
-        """Dispatch one shard-local method call (non-blocking)."""
-        ...
-
-    def result(self) -> Any:
-        """Await and return the next pending call's result (FIFO order)."""
-        ...
-
-    def close(self) -> None:
-        """Release the channel; must be safe to call more than once."""
-        ...
-
-
-def close_all(transports: Sequence[ShardTransport]) -> None:
-    """Best-effort close of a batch of transports (used on partial failures)."""
-    for transport in transports:
-        try:
-            transport.close()
-        except Exception:  # pragma: no cover - teardown must never mask errors
-            pass
 
 
 # ---------------------------------------------------------------------- #
@@ -286,41 +230,6 @@ class ShardExecutor(ABC):
 ShardExecutor.register(InProcessShardExecutor)
 
 
-class TransportExecutor(ShardExecutor):
-    """Generic executor over one :class:`ShardTransport` per shard.
-
-    ``_map`` pipelines: every transport's request goes out before any result
-    is awaited, so the shard steps overlap for any transport whose ``submit``
-    is non-blocking (process pools, sockets).
-    """
-
-    def __init__(
-        self,
-        transports: Sequence[ShardTransport],
-        shard_indices: Sequence[np.ndarray],
-        n_objects: int,
-    ) -> None:
-        super().__init__(shard_indices, n_objects)
-        if len(transports) != len(self.shard_indices):
-            raise ValueError(
-                f"got {len(transports)} transports for {len(self.shard_indices)} shards"
-            )
-        self._transports: List[ShardTransport] = list(transports)
-
-    def _map(self, method: str, per_shard_args=None, common: tuple = ()) -> list:
-        if not self._transports:
-            raise TransportError(f"executor is closed; cannot run {method!r}")
-        if per_shard_args is None:
-            per_shard_args = [() for _ in self.shard_indices]
-        for transport, args in zip(self._transports, per_shard_args):
-            transport.submit(method, (*args, *common))
-        return [transport.result() for transport in self._transports]
-
-    def close(self) -> None:
-        transports, self._transports = self._transports, []
-        close_all(transports)
-
-
 # ---------------------------------------------------------------------- #
 # Backend registry
 # ---------------------------------------------------------------------- #
@@ -344,7 +253,6 @@ class BackendSpec:
 def _populate_backends() -> None:
     """Import the modules whose definitions carry the registration decorators."""
     import repro.distributed.resilience  # noqa: F401  (registers "tcp")
-    import repro.distributed.shm  # noqa: F401  (registers "shm")
 
 
 _BACKENDS = NamedRegistry("executor backend", populate=_populate_backends)
@@ -409,8 +317,8 @@ def make_executor(
     Parameters
     ----------
     backend:
-        Registered backend name (``"serial"``, ``"shm"``, ``"tcp"``, an
-        alias of one, or any plugin registered with :func:`register_backend`).
+        Registered backend name (``"serial"``, ``"tcp"``, an alias of one,
+        or any plugin registered with :func:`register_backend`).
     codes:
         ``(n, d)`` integer-coded data matrix.
     n_categories:
@@ -422,9 +330,9 @@ def make_executor(
     engine:
         Frequency-engine backend built inside each shard worker.
     options:
-        Backend-specific keyword options (``mp_context`` for ``shm``;
-        ``hosts``, ``placement``, ``timeout`` for ``tcp``), validated against
-        the backend's declared option names.
+        Backend-specific keyword options (``hosts``, ``placement``,
+        ``timeout``, ``max_retries`` for ``tcp``), validated against the
+        backend's declared option names.
     """
     spec = get_backend_spec(backend)
     unknown = sorted(set(options) - set(spec.options))
@@ -446,10 +354,19 @@ def make_executor(
 # ---------------------------------------------------------------------- #
 # The serial backend (the reference executor, registered here)
 # ---------------------------------------------------------------------- #
+#: Names of the serial backend.  The last six named single-host process
+#: backends, since folded into this one; saved models and experiment
+#: configs still carry them.
+SERIAL_ALIASES = (
+    "inprocess", "in-process", "local",
+    "shm", "sharedmem", "shared-memory", "process", "multiprocess", "processes",
+)
+
+
 @register_backend(
     "serial",
-    aliases=("inprocess", "in-process", "local"),
-    description="In-process shards, no pools: the protocol-faithful reference",
+    aliases=SERIAL_ALIASES,
+    description="In-process shards on one host's cores: the protocol-faithful reference",
 )
 def _make_serial_executor(
     codes: np.ndarray,
@@ -457,5 +374,5 @@ def _make_serial_executor(
     shard_indices: Sequence[np.ndarray],
     engine: str = "auto",
 ) -> InProcessShardExecutor:
-    """In-process shards, no pools: the protocol-faithful reference backend."""
+    """In-process shards on one host's cores: the protocol-faithful reference."""
     return InProcessShardExecutor(codes, n_categories, shard_indices, engine=engine)

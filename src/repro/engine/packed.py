@@ -312,6 +312,8 @@ class PackedFrequencyEngine(FrequencyEngine):
         self._packed_codes = self.pack(self.codes)
         self._onehot: Optional[np.ndarray] = None
         self._caches_one_hot = n * self.n_values <= ONEHOT_MAX_CELLS
+        # Idle (buffer, dirty rows) pads of short blocks (_padded_product).
+        self._pads: List[Tuple[np.ndarray, int]] = []
 
     # ------------------------------------------------------------------ #
     # Packed-layout helpers
@@ -532,12 +534,8 @@ class PackedFrequencyEngine(FrequencyEngine):
         fewer than :func:`block_floor` rows is multiplied padded with zero
         rows up to the floor, so its GEMM keeps the whole-matrix bits too.
         """
-        b = onehot.shape[0]
-        floor = block_floor(self.n_clusters, self.n_values)
-        if b < floor:
-            padded = np.zeros((floor, onehot.shape[1]), dtype=np.float64)
-            padded[:b] = onehot
-            sims = (padded @ column_weights)[:b]
+        if onehot.shape[0] < block_floor(self.n_clusters, self.n_values):
+            sims = self._padded_product(onehot, column_weights)
             if out is not None:
                 out[...] = sims
                 sims = out
@@ -548,6 +546,27 @@ class PackedFrequencyEngine(FrequencyEngine):
             rows = np.flatnonzero(own >= 0)
             np.put(sims, rows * self.n_clusters + own[rows], loo[rows])
         return sims
+
+    def _padded_product(self, onehot: np.ndarray, column_weights: np.ndarray) -> np.ndarray:
+        """``onehot @ column_weights`` of a short block, padded to :func:`block_floor` rows.
+
+        The zero-padded ``(floor, M)`` buffer is reused across calls: only
+        the rows a previous block filled and this one does not are zeroed
+        again.  A call pops an idle buffer off the engine's list (an atomic
+        ``pop``) and puts it back when done, so two threads never share one.
+        """
+        b = onehot.shape[0]
+        try:
+            padded, dirty = self._pads.pop()
+        except IndexError:
+            floor = block_floor(self.n_clusters, self.n_values)
+            padded, dirty = np.zeros((floor, self.n_values), dtype=np.float64), 0
+        padded[b:dirty] = 0.0
+        padded[:b] = onehot
+        try:
+            return (padded @ column_weights)[:b]
+        finally:
+            self._pads.append((padded, b))
 
     def similarity_matrix(
         self,

@@ -29,11 +29,11 @@ class ExperimentConfig:
     # ``repro.experiments.runner.map_trials``.
     n_jobs: int = 1
     # Shard-executor backend for the methods that support sharding (currently
-    # MCDC): None keeps the serial estimators; "serial"/"shm"/"tcp" route
-    # them through the sharded runtime (repro.distributed.transport; older
-    # names such as "process" and "streaming" resolve as aliases of "shm" and
-    # "tcp", so saved configs keep loading).  With "tcp", ``hosts`` lists the
-    # `repro worker` addresses.
+    # MCDC): None keeps the serial estimators; "serial"/"tcp" route them
+    # through the sharded runtime (repro.distributed.transport; the names of
+    # folded backends resolve as aliases of "serial" and "tcp", so saved
+    # configs keep loading).  With "tcp", ``hosts`` lists the `repro worker`
+    # addresses.
     backend: Optional[str] = None
     hosts: Tuple[str, ...] = ()
     # Extra backend options as sorted (key, value) pairs (kept hashable for

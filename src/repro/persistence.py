@@ -31,6 +31,7 @@ from repro.core.assignment import AssignmentModel
 from repro.core.base import BaseClusterer
 from repro.engine.state import EngineState
 from repro.registry import make_clusterer, spec_for_instance
+from repro.utils.log import get_logger
 
 __all__ = ["save_model", "load_model", "FORMAT", "FORMAT_VERSION"]
 
@@ -39,6 +40,8 @@ FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
 _NESTED_KEY = "__clusterer__"
+
+_logger = get_logger(__name__)
 
 
 # ---------------------------------------------------------------------- #
@@ -70,8 +73,7 @@ def _encode_param(name: str, value: Any) -> Any:
         return value
     raise ValueError(
         f"parameter {name!r} of type {type(value).__name__} cannot be persisted; "
-        "use an int seed for random_state and leave runtime-only handles "
-        "(generators, mp_context) unset before saving"
+        "use an int seed for random_state, not a generator"
     )
 
 
@@ -90,7 +92,16 @@ def _decode_param(value: Any) -> Any:
 
 
 def _decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
-    return {name: _decode_param(value) for name, value in params.items()}
+    from repro.distributed.runtime import RETIRED_PARAMETERS
+
+    retired = sorted(set(params) & set(RETIRED_PARAMETERS))
+    if retired:
+        _logger.warning("ignoring retired parameter(s) %s", ", ".join(retired))
+    return {
+        name: _decode_param(value)
+        for name, value in params.items()
+        if name not in RETIRED_PARAMETERS
+    }
 
 
 # ---------------------------------------------------------------------- #

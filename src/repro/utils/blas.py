@@ -8,15 +8,15 @@ sized by :func:`cpu_share`, the cores this process may keep busy.
 
 OpenBLAS starts one busy-waiting thread per core in every process that loads
 it.  A process the library starts only to run a share of a fit — a
-``repro worker`` or an ``shm`` pool worker — runs next to its siblings, so N
-such processes on an N-core host would run N * N threads fighting over N
-cores.  :func:`limit_blas_threads` pins OpenBLAS in such a process to fewer
-threads, so parallelism comes from the number of processes, the convention
-Dask and Ray use for their workers.  A ``repro worker`` cannot see its
-siblings and pins to one thread; the ``shm`` coordinator knows its shard
-count and gives each worker :func:`threads_per_process` threads, an even
-share of the cores, and ``map_trials`` does the same for its trial
-processes.  The pinned count is also that process's :func:`cpu_share`, so a
+``repro worker`` or a ``map_trials`` trial process — runs next to its
+siblings, so N such processes on an N-core host would run N * N threads
+fighting over N cores.  :func:`limit_blas_threads` pins OpenBLAS in such a
+process to fewer threads, so parallelism comes from the number of
+processes, the convention Dask and Ray use for their workers.  A
+``repro worker`` cannot see its siblings and pins to one thread;
+``map_trials`` knows its worker count and gives each trial process
+:func:`threads_per_process` threads, an even share of the cores.  The
+pinned count is also that process's :func:`cpu_share`, so a
 ``repro worker`` runs its kernels on one thread.
 
 The caller's own process is never pinned for good.  While two or more block

@@ -32,10 +32,6 @@ from repro.utils.blas import blas_threads, limit_blas_threads
 def threads():
     return sorted(set(blas_threads().values()))
 
-
-def probe(_=None):
-    return threads()
-
 """
 
 
@@ -109,36 +105,6 @@ def test_operator_thread_setting_is_kept(tmp_path):
         print(json.dumps({"pinned": pinned, "after": threads()}))
     """, OPENBLAS_NUM_THREADS="2")
     assert out == {"pinned": {}, "after": [2]}
-
-
-def test_shm_workers_share_the_cores_among_the_shards(tmp_path):
-    out = run_script(tmp_path, """
-        import numpy as np
-        from repro.distributed import make_executor, shm
-        from repro.utils.blas import threads_per_process
-
-        if __name__ == "__main__":
-            limit_blas_threads(4)
-            codes = np.random.default_rng(0).integers(0, 4, size=(400, 5))
-            probes = {}
-            # The one-shard executor reuses a resident pool of the two-shard
-            # one, so its worker must be re-pinned on attach.
-            for shards in (2, 1):
-                with make_executor("shm", codes, [4] * 5, shards=shards) as executor:
-                    probes[shards] = [
-                        t._pool.submit(probe).result() for t in executor._transports
-                    ]
-            shm.shutdown()
-            print(json.dumps({
-                "probes": probes,
-                "expected": {s: threads_per_process(s) for s in (2, 1)},
-                "caller": threads(),
-            }))
-    """)
-    expected = out["expected"]
-    assert out["probes"]["2"] == [[expected["2"]]] * 2
-    assert out["probes"]["1"] == [[expected["1"]]]
-    assert out["caller"] == [4]
 
 
 def test_threads_per_process_splits_the_cores_evenly():

@@ -152,11 +152,17 @@ class TestBackendCLI:
         assert main(["predict", str(model_path), "Vot"]) == 0
         assert "assigned" in capsys.readouterr().out
 
-    def test_run_with_backend_routes_mcdc_through_sharded_runtime(self, capsys):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_run_with_backend_routes_mcdc_through_sharded_runtime(
+        self, monkeypatch, capsys, backend
+    ):
+        # "process" names a folded backend: it runs on serial.
+        created = self._spy_on_sharded_mcdc(monkeypatch)
         assert main(["run", "table3", "--datasets", "Vot", "--methods", "MCDC",
-                     "--n-restarts", "1", "--backend", "serial"]) == 0
+                     "--n-restarts", "1", "--backend", backend]) == 0
         out = capsys.readouterr().out
         assert "Table III" in out and "MCDC" in out
+        assert created and all(name == "serial" for name in created)
 
     def test_run_backend_rejected_for_artefacts_that_ignore_it(self):
         # only table3/fig4/fig6 construct MCDC through route_through_backend;
@@ -180,6 +186,19 @@ class TestBackendCLI:
 
         monkeypatch.setattr(runtime.ShardedMCDC, "__init__", spy)
         return created
+
+    def test_config_naming_a_folded_backend_fits_on_serial(self, runner_dataset):
+        from repro.distributed.transport import resolve_backend
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import make_paper_method
+
+        labels = {}
+        for backend in ("shm", "serial"):
+            config = ExperimentConfig(backend=backend)
+            model = make_paper_method("MCDC", n_clusters=3, seed=0, config=config)
+            assert resolve_backend(model.backend) == "serial"
+            labels[backend] = model.fit(runner_dataset).labels_
+        np.testing.assert_array_equal(labels["shm"], labels["serial"])
 
     def test_run_fig4_with_backend_takes_the_sharded_path(self, monkeypatch, capsys):
         created = self._spy_on_sharded_mcdc(monkeypatch)
@@ -260,7 +279,11 @@ class TestServingCLI:
         assert "mcdc" in out and "kmodes" in out and "mcdc@sharded" in out
         # the executor backends are listed too
         assert "executor backends" in out
-        assert "serial" in out and "shm" in out and "tcp" in out
+        backends = out.split("executor backends")[1].split("frequency engines")[0]
+        names = [line.split()[0] for line in backends.splitlines()[1:] if line.strip()]
+        assert names == ["serial", "tcp"]
+        serial = next(line for line in backends.splitlines() if line.startswith("serial"))
+        assert "shm" in serial and "process" in serial
         # "chunked" is listed as an alias of the dense engine, not as an engine
         engines = out.split("frequency engines")[1].splitlines()
         assert not any(line.startswith("chunked") for line in engines)

@@ -689,6 +689,32 @@ class TestBlockWorkers:
             )
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
+    def test_reused_pad_matches_a_fresh_pad(self, kind):
+        """Successive short blocks of different lengths reuse one padded buffer.
+
+        A longer block first dirties rows the shorter next one does not
+        fill; every product must still equal the freshly zero-padded one
+        and the whole-data rows.
+        """
+        k, m = 19, sum(SWEEP_CATS)
+        floor = packed_mod.block_floor(k, m)
+        n = floor + 100
+        codes, _, broadcast = sweep_problem(k, n, k, False, True)
+        omega = broadcast.omega
+        whole = packed_engine(codes, SWEEP_CATS, k, kind)
+        whole.restore(broadcast.state)
+        expected = whole.similarity_matrix(feature_weights=omega)
+        column_weights = whole._column_weights(omega)
+        onehot = whole._one_hot(whole.pack(codes))
+        for b in (300, 40, 1, 200):
+            got = whole.similarity_matrix(codes[:b], feature_weights=omega)
+            fresh = np.zeros((floor, m))
+            fresh[:b] = onehot[:b]
+            assert got.tobytes() == ((fresh @ column_weights)[:b] / codes.shape[1]).tobytes()
+            assert got.tobytes() == expected[:b].tobytes()
+        assert len(whole._pads) == 1
+
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         monkeypatch.setattr(packed_mod, "cpu_share", lambda: 2)

@@ -18,6 +18,7 @@ worker threads (``local_worker_pool``).
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
@@ -46,6 +47,7 @@ from repro.distributed import (
     make_node_pool,
 )
 from repro.distributed import codec, rpc
+from repro.distributed.transport import resolve_backend
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -560,6 +562,29 @@ class TestOptionThreading:
         assert loaded.backend_options == {"max_retries": 3}
         np.testing.assert_array_equal(
             loaded.predict(small_clusters.codes), model.predict(small_clusters.codes)
+        )
+
+        # An archive of the folded shared-memory backend: its default
+        # backend name and its (always null) multiprocessing context.
+        serial = ShardedMCDC(n_clusters=3, n_shards=2, backend="serial", random_state=0)
+        serial.fit(small_clusters)
+        path = save_model(serial, tmp_path / "serial.npz")
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["params"].update(backend="shm", mp_context=None)
+        arrays["__meta__"] = np.asarray(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            old = load_model(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring retired parameter(s) mp_context"
+        ]
+        assert resolve_backend(old.backend) == "serial"
+        assert "mp_context" not in old.get_params()
+        np.testing.assert_array_equal(
+            old.predict(small_clusters.codes), serial.predict(small_clusters.codes)
         )
 
     def test_experiment_config_threads_backend_options(self):

@@ -6,10 +6,14 @@ CAME, and to floating-point tolerance for MGCPL's learning trajectory
 (shard-wise partial sums regroup float additions).
 """
 
+import inspect
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core import CAME, MCDC, MGCPL
+from repro.core.mcdc import MCDCEncoder
 from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
 from repro.core.sync import InProcessShardExecutor, SweepBroadcast, contiguous_shards
 from repro.data.uci.registry import load_dataset
@@ -17,11 +21,13 @@ from repro.distributed import (
     MultiGranularPartitioner,
     ShardedCAME,
     ShardedMCDC,
+    ShardedMCDCEncoder,
     ShardedMGCPL,
     make_executor,
     resolve_shard_indices,
 )
 from repro.engine import make_engine
+from repro.experiments.runner import map_trials
 from repro.metrics import adjusted_rand_index
 
 
@@ -109,13 +115,6 @@ class TestShardedMGCPL:
         assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.95
         assert abs(sharded.result_.final_k - serial.result_.final_k) <= 1
 
-    def test_shm_backend_matches_serial(self, small_clusters):
-        serial = MGCPL(random_state=1).fit(small_clusters)
-        sharded = ShardedMGCPL(
-            n_shards=2, backend="shm", random_state=1
-        ).fit(small_clusters)
-        assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.99
-
     def test_partition_plan_sharding(self, small_clusters):
         plan = MultiGranularPartitioner(3, random_state=0).fit_partition(small_clusters)
         sharded = ShardedMGCPL(n_shards=plan, backend="serial", random_state=0)
@@ -129,6 +128,23 @@ class TestShardedMGCPL:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ShardedMGCPL(backend="thread")
+
+    @pytest.mark.parametrize(
+        "folded",
+        ["shm", "sharedmem", "shared-memory", "process", "multiprocess", "processes"],
+    )
+    def test_folded_backend_name_fits_on_serial(self, small_clusters, folded):
+        # Saved configs and archives naming a folded single-host backend
+        # fit in-process, with the serial backend's labels.
+        reference = ShardedMGCPL(
+            k0=4, n_shards=2, backend="serial", random_state=0, max_epochs=2
+        ).fit(small_clusters)
+        model = ShardedMGCPL(
+            k0=4, n_shards=2, backend=folded, random_state=0, max_epochs=2
+        ).fit(small_clusters)
+        assert isinstance(model.last_executor_, InProcessShardExecutor)
+        np.testing.assert_array_equal(model.labels_, reference.labels_)
+        np.testing.assert_array_equal(model.encoding_, reference.encoding_)
 
 
 class TestShardedCAME:
@@ -153,11 +169,18 @@ class TestShardedMCDC:
         assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.95
         assert sharded.kappa_ == serial.kappa_
 
-    def test_shm_backend_pipeline(self, tiny_clusters):
-        sharded = ShardedMCDC(
-            n_clusters=2, n_shards=2, backend="shm", n_init=2, random_state=0
-        ).fit(tiny_clusters)
-        assert adjusted_rand_index(tiny_clusters.labels, sharded.labels_) >= 0.8
+    def test_encoder_matches_serial(self, small_clusters):
+        serial = MCDCEncoder(random_state=11).fit(small_clusters)
+        sharded = ShardedMCDCEncoder(
+            n_shards=3, backend="serial", random_state=11
+        ).fit(small_clusters)
+        assert isinstance(sharded.mgcpl_, ShardedMGCPL)
+        assert sharded.kappa_ == serial.kappa_
+        assert sharded.encoding_.shape == serial.encoding_.shape
+        for column in range(serial.encoding_.shape[1]):
+            assert adjusted_rand_index(
+                serial.encoding_[:, column], sharded.encoding_[:, column]
+            ) >= 0.95
 
 
 class TestShardedCoordinator:
@@ -184,10 +207,42 @@ class TestShardedCoordinator:
         expected = np.argmin(full.hamming_distances(modes, theta), axis=1)
         np.testing.assert_array_equal(labels, expected)
 
-    def test_shm_backend_round_trip(self, tiny_clusters):
-        codes, cats = tiny_clusters.codes, list(tiny_clusters.n_categories)
-        labels = np.zeros(codes.shape[0], dtype=np.int64)
-        with make_executor("shm", codes, cats, shards=2) as coordinator:
-            state = coordinator.begin_epoch(2, labels)
-        full = make_engine(codes, cats, 2, labels=labels).snapshot()
-        np.testing.assert_array_equal(state.packed, full.packed)
+
+@pytest.mark.parametrize(
+    "cls, required",
+    [
+        pytest.param(cls, required, id=cls.__name__)
+        for cls, required in [
+            (ShardedMGCPL, {}),
+            (ShardedCAME, {"n_clusters": 2}),
+            (ShardedMCDCEncoder, {}),
+            (ShardedMCDC, {"n_clusters": 2}),
+        ]
+    ],
+)
+def test_sharded_estimators_default_to_serial_without_mp_context(cls, required):
+    assert cls(**required).backend == "serial"
+    # The folded backend's only option is no longer a parameter.
+    assert "mp_context" not in inspect.signature(cls).parameters
+    with pytest.raises(TypeError, match="mp_context"):
+        cls(mp_context=None, **required)
+
+
+def _sharded_fit_labels(seed, dataset):
+    return ShardedMGCPL(
+        k0=4, n_shards=2, random_state=seed, max_epochs=2
+    ).fit(dataset).labels_
+
+
+@pytest.mark.timeout(120)
+def test_sharded_fits_inside_trial_workers_return(small_clusters):
+    """``map_trials(n_jobs=2)`` over default-backend sharded fits returns.
+
+    Each trial process fits on its own cores with the default backend, and
+    its labels equal the same fit run here.
+    """
+    assert ShardedMGCPL().backend == "serial"
+    got = map_trials(partial(_sharded_fit_labels, dataset=small_clusters), [1, 2], n_jobs=2)
+    want = [_sharded_fit_labels(seed, small_clusters) for seed in (1, 2)]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)

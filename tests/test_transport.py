@@ -23,11 +23,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.sync import InProcessShardExecutor
+from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
+from repro.core.sync import InProcessShardExecutor, SweepBroadcast
 from repro.data.uci.registry import load_dataset
 from repro.distributed import (
     GranularityAwareScheduler,
     ShardedCAME,
+    ShardedMCDC,
+    ShardedMCDCEncoder,
     ShardedMGCPL,
     TransportError,
     available_backends,
@@ -57,11 +60,13 @@ def tcp_hosts():
 # ---------------------------------------------------------------------- #
 class TestBackendRegistry:
     def test_shipped_backends_are_registered(self):
-        # One backend per job: in-process reference, one host, many hosts.
+        # One backend per job: one host's cores in-process, many hosts.
         # The folded names stay usable as aliases of their survivors.
-        assert available_backends() == ["serial", "shm", "tcp"]
-        for alias in ("process", "multiprocess", "processes"):
-            assert resolve_backend(alias) == "shm"
+        assert available_backends() == ["serial", "tcp"]
+        for alias in (
+            "shm", "sharedmem", "shared-memory", "process", "multiprocess", "processes",
+        ):
+            assert resolve_backend(alias) == "serial"
         for alias in ("streaming", "stream"):
             assert resolve_backend(alias) == "tcp"
 
@@ -79,6 +84,13 @@ class TestBackendRegistry:
             make_executor(
                 "serial", small_clusters.codes, small_clusters.n_categories,
                 shards=2, hosts=["127.0.0.1:1"],
+            )
+
+    def test_retired_process_option_rejected_by_name(self, small_clusters):
+        with pytest.raises(ValueError, match="serial.*does not accept.*mp_context"):
+            make_executor(
+                "shm", small_clusters.codes, small_clusters.n_categories,
+                shards=2, mp_context=None,
             )
 
     def test_serial_backend_is_the_reference_executor(self, small_clusters):
@@ -165,6 +177,91 @@ class TestTCPEquivalence:
         full = make_engine(codes, cats, 5, labels=labels).snapshot()
         np.testing.assert_array_equal(merged.packed, full.packed)
         np.testing.assert_array_equal(merged.sizes, full.sizes)
+
+    def test_scattered_shard_indices(self, small_clusters, tcp_hosts):
+        """Non-contiguous shards ship their own rows over the wire."""
+        rng = np.random.default_rng(4)
+        codes, cats = small_clusters.codes, list(small_clusters.n_categories)
+        assignments = rng.integers(0, 3, size=codes.shape[0])
+        labels = rng.integers(0, 4, size=codes.shape[0])
+        with make_executor("serial", codes, cats, shards=assignments) as executor:
+            want = executor.begin_epoch(4, labels)
+        with make_executor(
+            "tcp", codes, cats, shards=assignments, hosts=tcp_hosts
+        ) as executor:
+            got = executor.begin_epoch(4, labels)
+            assert executor.n_shards == 3
+        np.testing.assert_array_equal(got.packed, want.packed)
+        np.testing.assert_array_equal(got.sizes, want.sizes)
+
+    def test_sweep_outcomes_bit_identical_to_serial(self, small_clusters, tcp_hosts):
+        codes, cats = small_clusters.codes, list(small_clusters.n_categories)
+        k, d = 6, small_clusters.n_features
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, k, size=codes.shape[0])
+        omega = rng.random((d, k))
+
+        def two_sweeps(executor):
+            state = executor.begin_epoch(k, labels)
+            outcomes = []
+            for _ in range(2):
+                outcome = executor.sweep(SweepBroadcast(
+                    state=state,
+                    u=cluster_weight_from_delta(np.ones(k)),
+                    rho=winning_ratio(np.zeros(k)),
+                    omega=omega,
+                    blocked=(state.sizes <= 0),
+                ))
+                state = outcome.state
+                outcomes.append(outcome)
+            return outcomes
+
+        with make_executor("serial", codes, cats, shards=3) as executor:
+            want = two_sweeps(executor)
+        with make_executor("tcp", codes, cats, shards=3, hosts=tcp_hosts) as executor:
+            got = two_sweeps(executor)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(b.labels, a.labels)
+            np.testing.assert_array_equal(b.state.packed, a.state.packed)
+            np.testing.assert_array_equal(b.win_counts, a.win_counts)
+            np.testing.assert_array_equal(b.win_sim_total, a.win_sim_total)
+
+    def test_hamming_assign_bit_identical_to_full_engine(self, small_clusters, tcp_hosts):
+        codes, cats = small_clusters.codes, list(small_clusters.n_categories)
+        rng = np.random.default_rng(4)
+        modes = codes[rng.choice(codes.shape[0], size=4, replace=False)]
+        theta = rng.random(codes.shape[1])
+        with make_executor("tcp", codes, cats, shards=3, hosts=tcp_hosts) as executor:
+            state = executor.begin_epoch(4, None)
+            labels = executor.hamming_assign(modes, theta)
+        assert int(state.sizes.sum()) == 0
+        full = make_engine(codes, cats, 4)
+        expected = np.argmin(full.hamming_distances(modes, theta), axis=1)
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_mcdc_encoder_bit_identical_to_serial(self, small_clusters, tcp_hosts):
+        serial = ShardedMCDCEncoder(n_shards=2, backend="serial", random_state=3)
+        over_tcp = ShardedMCDCEncoder(
+            n_shards=2, backend="tcp", hosts=tcp_hosts, random_state=3
+        )
+        serial.fit(small_clusters)
+        over_tcp.fit(small_clusters)
+        np.testing.assert_array_equal(over_tcp.encoding_, serial.encoding_)
+        assert over_tcp.kappa_ == serial.kappa_
+
+    def test_mcdc_fit_bit_identical_to_serial(self, tiny_clusters, tcp_hosts):
+        serial = ShardedMCDC(
+            n_clusters=2, n_shards=2, backend="serial", n_init=2, random_state=0
+        ).fit(tiny_clusters)
+        over_tcp = ShardedMCDC(
+            n_clusters=2, n_shards=2, backend="tcp", hosts=tcp_hosts,
+            n_init=2, random_state=0,
+        ).fit(tiny_clusters)
+        np.testing.assert_array_equal(over_tcp.labels_, serial.labels_)
+        assert over_tcp.kappa_ == serial.kappa_
+        np.testing.assert_array_equal(
+            over_tcp.predict(tiny_clusters.codes), serial.predict(tiny_clusters.codes)
+        )
 
     def test_default_shards_follow_hosts(self, small_clusters, tcp_hosts):
         with make_executor(
@@ -313,6 +410,26 @@ class TestFailurePaths:
         )
         executor.close()
         executor.close()  # idempotent
+        with pytest.raises(TransportError, match="closed"):
+            executor.begin_epoch(2, None)
+
+    def test_fit_closes_its_connections(self, monkeypatch, small_clusters, tcp_hosts):
+        opened = []
+        real_init = rpc.TCPTransport.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            opened.append(self)
+
+        monkeypatch.setattr(rpc.TCPTransport, "__init__", recording_init)
+        model = ShardedMGCPL(
+            k0=4, n_shards=2, backend="tcp", hosts=tcp_hosts,
+            random_state=1, max_epochs=2,
+        ).fit(small_clusters)
+        assert len(opened) == 2
+        assert all(transport._sock is None for transport in opened)
+        executor = model.last_executor_
+        assert executor._transports == []
         with pytest.raises(TransportError, match="closed"):
             executor.begin_epoch(2, None)
 
