@@ -13,6 +13,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -42,8 +43,21 @@ def test_trajectory_file_is_schema_valid(path):
         assert problems == [], f"{os.path.basename(path)}[{i}]: {problems}"
 
 
-def test_record_output_validates(tmp_path, monkeypatch):
-    reporting._git_commit()  # resolve (and cache) from the real repo root
+def _head_commit():
+    """``git rev-parse --short HEAD`` at the repo root, or ``None`` where it fails."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=reporting.REPO_ROOT, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
+def _record_selftest(tmp_path, monkeypatch):
     monkeypatch.setattr(reporting, "REPO_ROOT", str(tmp_path))
     monkeypatch.setenv(reporting.RECORD_ENV, "1")
     entry = reporting.record(
@@ -52,10 +66,31 @@ def test_record_output_validates(tmp_path, monkeypatch):
     )
     assert reporting.validate_entry(entry) == []
     assert entry["custom"] == "x"
-    # The commit stamp is present in a git checkout (this repo is one).
-    assert isinstance(entry.get("commit"), str) and entry["commit"]
     (reloaded,) = reporting.load("schema-selftest")
     assert reporting.validate_entry(reloaded) == []
+    return entry
+
+
+def test_record_output_validates(tmp_path, monkeypatch):
+    expected = _head_commit()
+    reporting._git_commit()  # resolve (and cache) from the real repo root
+    entry = _record_selftest(tmp_path, monkeypatch)
+    # Where git names the checkout's HEAD, the entry carries that commit;
+    # outside a checkout (an exported tree) it carries none.
+    if expected is None:
+        assert "commit" not in entry
+    else:
+        assert entry.get("commit") == expected
+
+
+def test_record_without_git_omits_the_commit(tmp_path, monkeypatch):
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(reporting, "_GIT_COMMIT_CACHE", [])
+    monkeypatch.setattr(reporting.subprocess, "run", no_git)
+    entry = _record_selftest(tmp_path, monkeypatch)
+    assert "commit" not in entry
 
 
 def test_record_without_opt_in_writes_nothing(tmp_path, monkeypatch):

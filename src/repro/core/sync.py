@@ -140,14 +140,20 @@ class SweepOutcome:
 # ---------------------------------------------------------------------- #
 # LocalUpdate
 # ---------------------------------------------------------------------- #
-def mgcpl_sweep_local(engine, labels: np.ndarray, broadcast: SweepBroadcast) -> ShardUpdate:
+def mgcpl_sweep_local(
+    engine, labels: np.ndarray, broadcast: SweepBroadcast, counts: EngineState
+) -> ShardUpdate:
     """One shard-local MGCPL competition sweep (the LocalUpdate).
 
     Restores the broadcast global counts into the shard engine, scores the
     shard's objects against them (with the leave-one-out correction relative
-    to the *global* statistics), applies the winner/rival bookkeeping of
-    Eqs. 10-13 for the shard's objects only, and leaves the engine holding
-    the shard's count contribution under the new assignment.
+    to the *global* statistics) and applies the winner/rival bookkeeping of
+    Eqs. 10-13 for the shard's objects only.  ``counts`` are the shard's
+    own counts under ``labels``; the engine is left holding, and the update
+    carries, the shard's counts under the new assignment, updated from the
+    rows that moved (the engine's ``move_many``) or, when more than half
+    moved, recounted (``rebuild``).  The counts are integer-valued floats,
+    so either way they equal a full recount.
 
     Every packed engine exposes ``competitive_sweep``: the dense backend
     runs it as one cache-blocked NumPy pass that never holds an ``(n, k)``
@@ -179,11 +185,18 @@ def mgcpl_sweep_local(engine, labels: np.ndarray, broadcast: SweepBroadcast) -> 
         stats = competition_statistics(*selection, engine.n_clusters)
     win_counts, win_gain, rival_pen, rival_counts, win_sim_total = stats
 
-    changed = not np.array_equal(winners, labels)
-    engine.rebuild(winners)
+    # The shard's counts under the new labels.  Moving the m moved rows off
+    # their old clusters and onto their new ones counts 2m rows, which
+    # costs what recounting all n does at m = n / 2.
+    moved = np.flatnonzero(winners != labels)
+    if 2 * moved.size > labels.shape[0]:
+        engine.rebuild(winners)
+    else:
+        engine.restore(counts)
+        engine.move_many(moved, labels[moved], winners[moved])
     return ShardUpdate(
         labels=winners,
-        changed=changed,
+        changed=moved.size > 0,
         state=engine.snapshot(),
         win_counts=win_counts,
         win_gain=win_gain,
@@ -216,6 +229,9 @@ class ShardWorker:
         self.engine_kind = engine
         self.engine = None
         self.labels: Optional[np.ndarray] = None
+        # The shard's own counts under ``labels``, kept from begin_epoch and
+        # each sweep so a sweep counts only the rows that moved.
+        self.counts: Optional[EngineState] = None
         # One cache per worker by default: begin_epoch builds a fresh engine
         # per granularity level over the same (immutable) shard codes, so the
         # dense one-hot encoding is built once per shard instead of once per
@@ -247,25 +263,22 @@ class ShardWorker:
             if labels is not None
             else np.full(self.codes.shape[0], -1, dtype=np.int64)
         )
-        return self.engine.snapshot()
+        self.counts = self.engine.snapshot()
+        return self.counts
 
     def sweep(self, broadcast: SweepBroadcast) -> ShardUpdate:
-        """Run one MGCPL LocalUpdate and remember the shard's new labels."""
-        update = mgcpl_sweep_local(self.engine, self.labels, broadcast)
-        self.labels = update.labels
+        """Run one MGCPL LocalUpdate; remember the shard's new labels and counts."""
+        update = mgcpl_sweep_local(self.engine, self.labels, broadcast, self.counts)
+        self.labels, self.counts = update.labels, update.state
         return update
 
-    def rebuild(self, labels: np.ndarray) -> EngineState:
-        """Overwrite the shard assignment and return the shard counts."""
-        self.labels = np.asarray(labels, dtype=np.int64).copy()
-        self.engine.rebuild(self.labels)
-        return self.engine.snapshot()
-
     def hamming_assign(self, modes: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """CAME's assignment step (Eq. 20) for the shard's objects."""
+        """CAME's assignment step (Eq. 20) for the shard's objects.
+
+        Leaves the sweep's labels and counts alone: those two change together.
+        """
         distances = self.engine.hamming_distances(modes, feature_weights=theta)
-        self.labels = np.argmin(distances, axis=1).astype(np.int64)
-        return self.labels
+        return np.argmin(distances, axis=1).astype(np.int64)
 
 
 class InProcessShardExecutor:
@@ -315,13 +328,6 @@ class InProcessShardExecutor:
     def sweep(self, broadcast: SweepBroadcast) -> SweepOutcome:
         updates = [worker.sweep(broadcast) for worker in self._workers]
         return SweepOutcome.from_updates(updates, self.shard_indices, self.n_objects)
-
-    def rebuild(self, labels: np.ndarray) -> EngineState:
-        states = [
-            worker.rebuild(labels[idx])
-            for worker, idx in zip(self._workers, self.shard_indices)
-        ]
-        return EngineState.merge_all(states)
 
     def hamming_assign(self, modes: np.ndarray, theta: np.ndarray) -> np.ndarray:
         labels = np.empty(self.n_objects, dtype=np.int64)

@@ -24,7 +24,7 @@ detected by the call it breaks and stays out of the re-placement candidate
 set for the executor's lifetime.
 
 What is and is not bit-identical after recovery: batch MGCPL (and CAME's
-Hamming assignment, and ``rebuild``) replay exactly, because each call's
+Hamming assignment) replay exactly, because each call's
 result is a pure function of the shard codes, the broadcast state and the
 tracked labels.  Recovery timings (``recovery_seconds``, the
 ``BENCH_transport.json`` entries) are wall-clock observability, not state.
@@ -180,9 +180,6 @@ class ResilientTCPExecutor(TCPExecutor):
         elif method == "sweep":
             for i, update in enumerate(results):
                 self._shard_labels[i] = np.asarray(update.labels, dtype=np.int64)
-        elif method == "rebuild":
-            for i, call in enumerate(calls):
-                self._shard_labels[i] = np.asarray(call[0], dtype=np.int64).copy()
         elif method == "hamming_assign":
             for i, labels in enumerate(results):
                 self._shard_labels[i] = np.asarray(labels, dtype=np.int64)

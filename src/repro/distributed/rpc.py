@@ -84,6 +84,9 @@ __all__ = [
 
 PROTOCOL_VERSION = 3
 
+#: The shard-local methods a worker serves.
+SHARD_METHODS = ("begin_epoch", "sweep", "hamming_assign", "ping", "shutdown")
+
 
 # -- EngineState / protocol dataclass (de)serialisation ------------------ #
 def _state_arrays(state: EngineState, prefix: str) -> Dict[str, np.ndarray]:
@@ -123,9 +126,6 @@ def encode_request(method: str, args: tuple) -> bytes:
         arrays["blocked"] = broadcast.blocked
         if broadcast.omega is not None:
             arrays["omega"] = broadcast.omega
-    elif method == "rebuild":
-        (labels,) = args
-        arrays["labels"] = np.asarray(labels, dtype=np.int64)
     elif method == "hamming_assign":
         modes, theta = args
         arrays["modes"] = np.asarray(modes)
@@ -151,8 +151,6 @@ def decode_request(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> Tuple
             blocked=arrays["blocked"],
         )
         return method, (broadcast,)
-    if method == "rebuild":
-        return method, (arrays["labels"],)
     if method == "hamming_assign":
         return method, (arrays["modes"], arrays["theta"])
     if method in ("ping", "shutdown"):
@@ -250,9 +248,10 @@ def _serve_session(conn: socket.socket) -> None:
     which every request is a small method payload against the resident
     :class:`ShardWorker`.  Every reply carries the call's worker-side wall
     time (``elapsed``).  Worker-side exceptions are reported back as
-    ``error`` frames so the coordinator can re-raise them; a bad handshake
-    gets a ``ProtocolError`` frame and transport-level failures end the
-    session.
+    ``error`` frames so the coordinator can re-raise them, and so is a call
+    of a method the worker does not serve (a ``ProtocolError``); a bad
+    handshake gets a ``ProtocolError`` frame and transport-level failures
+    end the session.
     """
 
     def refuse(message: str) -> None:
@@ -291,7 +290,13 @@ def _serve_session(conn: socket.socket) -> None:
                 return  # coordinator went away; nothing left to serve
             # A frame that does not decode leaves the stream in an unknown
             # state: end the session (cleanly) rather than guess at framing.
-            method, args = decode_request(*unpack_message(body)[1:])
+            _, meta, arrays = unpack_message(body)
+            if meta.get("method") not in SHARD_METHODS:
+                # A verb this worker does not serve (one an older coordinator
+                # still sends): refuse the call by name, keep the session.
+                refuse(f"unknown shard method {meta.get('method')!r}")
+                continue
+            method, args = decode_request(meta, arrays)
             if method == "shutdown":
                 send_frame(conn, pack_message("scalar", {"value": 0}))
                 return

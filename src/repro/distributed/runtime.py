@@ -110,7 +110,10 @@ class _ShardedMixin:
         self.hosts = hosts
         self.backend_options = backend_options
 
-    def _make_coordinator(self, codes: np.ndarray, n_categories, engine: str) -> ShardExecutor:
+    def _make_coordinator(
+        self, codes: np.ndarray, n_categories, engine: str, shards: ShardSpec = None
+    ) -> ShardExecutor:
+        """The executor over ``codes``, sharded as ``shards`` (default: ``n_shards``)."""
         options = {}
         if self.backend_options:
             options.update(self.backend_options)
@@ -120,7 +123,7 @@ class _ShardedMixin:
             self.backend,
             codes,
             n_categories,
-            shards=self.n_shards,
+            shards=self.n_shards if shards is None else shards,
             engine=engine,
             **options,
         )
@@ -186,16 +189,20 @@ class ShardedMGCPL(_ShardedMixin, MGCPL):
 @register_clusterer(
     "came@sharded",
     aliases=("sharded-came", "sharded_came"),
-    description="CAME with assignment and count rebuilds sharded",
+    description="CAME with its assignment step sharded",
     example_params={"n_clusters": 2, "n_shards": 2, "backend": "serial"},
 )
 class ShardedCAME(_ShardedMixin, CAME):
-    """CAME whose assignment and count-rebuild steps run sharded.
+    """CAME whose assignment step runs sharded.
 
-    Bit-identical to the serial :class:`~repro.core.came.CAME` for the same
-    ``random_state`` on every backend: per-object Hamming distances never
-    cross shard boundaries and the merged counts are exact, while the theta
-    update, empty-cluster repair and objective stay on the coordinator.
+    The shards hold Gamma's distinct rows and assign each one (Eq. 20);
+    the counts behind the mode update, the theta update, the empty-cluster
+    repair and the objective run on the coordinator.  Bit-identical to the
+    serial :class:`~repro.core.came.CAME` for the same ``random_state`` on
+    every backend, as per-row Hamming distances never cross shard
+    boundaries.  An object-level shard layout (an assignment vector, a
+    :class:`PartitionPlan` or index arrays) places each distinct row on the
+    shard of its first object.
     """
 
     def __init__(
@@ -210,8 +217,16 @@ class ShardedCAME(_ShardedMixin, CAME):
         super().__init__(n_clusters, **came_params)
         self._init_sharding(n_shards, backend, hosts, backend_options)
 
-    def _make_executor(self, gamma: np.ndarray, n_categories) -> ShardExecutor:
-        return self._make_coordinator(gamma, n_categories, self.engine)
+    def _make_executor(
+        self, rows: np.ndarray, n_categories, inverse: np.ndarray
+    ) -> ShardExecutor:
+        shards = self.n_shards
+        if shards is not None and not isinstance(shards, (int, np.integer)):
+            owner = np.empty(inverse.size, dtype=np.int64)
+            for shard, indices in enumerate(resolve_shard_indices(inverse.size, shards)):
+                owner[indices] = shard
+            shards = owner[np.unique(inverse, return_index=True)[1]]
+        return self._make_coordinator(rows, n_categories, self.engine, shards)
 
 
 class ShardedMCDCEncoder(_ShardedMixin, MCDCEncoder):

@@ -3,7 +3,7 @@
 PR 2 factored MGCPL's batch epoch (and CAME's alternating optimisation) into
 a bulk-synchronous LocalUpdate/GlobalStep loop whose only contact with the
 execution substrate is the *executor protocol* — ``begin_epoch`` / ``sweep``
-/ ``rebuild`` / ``hamming_assign`` / ``close``.  This module turns that
+/ ``hamming_assign`` / ``close``.  This module turns that
 implicit protocol into a formal API, mirroring the clusterer registry of
 :mod:`repro.registry`:
 
@@ -201,10 +201,6 @@ class ShardExecutor(ABC):
         """One global MGCPL sweep: shard-local competition + exact count merge."""
         updates: List[ShardUpdate] = self._map("sweep", common=(broadcast,))
         return SweepOutcome.from_updates(updates, self.shard_indices, self.n_objects)
-
-    def rebuild(self, labels: np.ndarray) -> EngineState:
-        """Load a (coordinator-repaired) assignment and merge the shard counts."""
-        return EngineState.merge_all(self._map("rebuild", self._scatter(labels)))
 
     def hamming_assign(self, modes: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """CAME's Eq. 20 assignment, shard-local; gathered in coordinator order."""

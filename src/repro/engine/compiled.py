@@ -301,7 +301,10 @@ class CompiledEngine(PackedFrequencyEngine):
         )[0]
 
     def _block_scorer(self, feature_weights: Optional[np.ndarray]):
-        """Blocked scoring (``nearest_clusters``) through the loop-exact kernel."""
+        """Blocked scoring (``nearest_clusters``) through the loop-exact kernel.
+
+        The kernel reads packed codes, so a block needs no encoding.
+        """
         cw, w_lk, has_w = self._kernel_tables(feature_weights)
 
         def score(packed_codes: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -311,7 +314,7 @@ class CompiledEngine(PackedFrequencyEngine):
             )
             return out
 
-        return score
+        return np.ascontiguousarray, score
 
     # ------------------------------------------------------------------ #
     # The fused competitive sweep (MGCPL's LocalUpdate hot loop)

@@ -12,6 +12,9 @@ ops with no Python loop over features or clusters:
 * ``add``/``remove``/``move`` and their bulk variants are fancy-indexed
   increments on the packed matrix (the packed columns of one object are
   pairwise distinct, so even the single-object path needs no ``np.add.at``);
+  ``move_many``, which updates a shard's counts from the rows a sweep
+  moved, counts the moved objects' cells as ``rebuild`` does, gathering
+  them once for both signs;
 * ``similarity_matrix`` is a one-hot encoding of the objects multiplied
   (BLAS) with the column-normalised, weight-scaled packed counts, with the
   leave-one-out correction read from a per-cell table (below);
@@ -67,9 +70,12 @@ each wave of blocks before the workers score it), so a tracer that wraps
 them by name still nests their spans under the caller's.
 
 MGCPL's reassignment after a granularity level (``nearest_clusters``)
-gathers only the stranded rows' packed codes, :func:`sweep_rows` at a time,
-into one reused block.  Only those rows are encoded and scored, and no
-``(n, k)`` array exists at any point of a fit.
+splits only the stranded rows into sweep blocks and runs them on the same
+block workers: the calling thread gathers and encodes a wave of blocks, one
+per worker, and each worker scores its block into its own buffer.  It
+holds OpenBLAS at one thread even with one worker, so no BLAS helper
+thread is left spinning into the next sweep.  Only those rows are encoded
+and scored, and no ``(n, k)`` array exists at any point of a fit.
 
 A block holds :data:`SWEEP_BLOCK_BYTES` (1 MiB) of ``(rows, k)`` float64
 scores, but never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer
@@ -114,7 +120,7 @@ from repro.engine.state import (
     counts_modes,
     expand_per_feature,
 )
-from repro.utils.blas import cpu_share, run_in_threads
+from repro.utils.blas import cpu_share, one_blas_thread, run_in_threads
 from repro.utils.validation import check_array_2d, check_positive_int
 
 #: ``n * M`` one-hot cells up to which an engine caches its codes' whole
@@ -415,6 +421,34 @@ class PackedFrequencyEngine(FrequencyEngine):
         self.packed += sign * np.bincount(lin[mask], minlength=k * M).reshape(k, M)
         lin_valid = clusters[:, None] * d + np.arange(d)[None, :]
         self.valid_counts += sign * np.bincount(lin_valid[mask], minlength=k * d).reshape(k, d)
+
+    def move_many(self, indices, sources, targets) -> None:
+        """Bulk moves as one count of the objects' cells, gathered once.
+
+        Each object's cells are counted under its target and subtracted
+        under its source; a source of ``-1`` (unassigned) lands in a spare
+        cluster row that is dropped, and an object whose source is its
+        target adds and subtracts the same cells.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        if not indices.shape == sources.shape == targets.shape:
+            raise ValueError("indices, sources and targets must have the same shape")
+        k, width = self.n_clusters, self.n_values + 1
+        sources = np.where(sources >= 0, sources, k)
+        sizes = np.bincount(targets, minlength=k + 1) - np.bincount(sources, minlength=k + 1)
+        if (self.sizes + sizes[:k] < 0).any():
+            empty = int(np.flatnonzero(self.sizes + sizes[:k] < 0)[0])
+            raise ValueError(f"Cluster {empty} is already empty")
+        cells = self._cached_loo_cells()[:, indices]
+        bins = (k + 1) * width
+        counts = np.bincount((targets * width + cells).ravel(), minlength=bins)
+        counts -= np.bincount((sources * width + cells).ravel(), minlength=bins)
+        counts = counts.reshape(k + 1, width)[:k, :-1]
+        self.sizes += sizes[:k]
+        self.packed += counts
+        self.valid_counts += self._segment_sums(counts)
 
     # ------------------------------------------------------------------ #
     # Sufficient-statistics snapshots (sharded execution)
@@ -748,33 +782,51 @@ class PackedFrequencyEngine(FrequencyEngine):
     ) -> np.ndarray:
         """Blocked :meth:`FrequencyEngine.nearest_clusters`: only ``rows`` are scored.
 
-        The requested rows' packed codes are gathered :func:`sweep_rows` at
-        a time into one reused block; a shorter last block is scored padded
-        up to :func:`block_floor` (:meth:`_similarity_block`), so every GEMM
-        gives the whole-matrix bits.  Disallowed clusters are set to ``-inf``
-        before the argmax.  No ``(n, k)`` array is built, and only the
-        requested rows are encoded.
+        The requested rows are split into fused-sweep blocks
+        (:meth:`_row_blocks`) that run on the block workers.  The calling
+        thread gathers and encodes one wave of blocks, one per worker, and
+        each worker scores its block into its own buffer.  A pass shorter
+        than :func:`block_floor` is scored padded up to it
+        (:meth:`_similarity_block`), so every GEMM gives the whole-matrix
+        bits.  OpenBLAS is held at one thread for the whole pass, whatever
+        the worker count, so no BLAS helper thread is left spinning after
+        it.  Disallowed clusters are set to ``-inf`` before the argmax.  No
+        ``(n, k)`` array is built, and only the requested rows are encoded.
         """
         rows = np.asarray(rows, dtype=np.int64)
         disallowed = ~np.asarray(allowed, dtype=np.bool_)
-        size = max(1, min(sweep_rows(self.n_clusters, self.n_values), rows.size))
-        score = self._block_scorer(feature_weights)
-        block = np.empty((size, self.codes.shape[1]), dtype=np.int64)
-        buffer = np.empty((size, self.n_clusters), dtype=np.float64)
         nearest = np.empty(rows.size, dtype=np.int64)
-        for lo in range(0, rows.size, size):
-            hi = min(lo + size, rows.size)
-            block[: hi - lo] = self._packed_codes[rows[lo:hi]]
-            sims = score(block[: hi - lo], buffer[: hi - lo])
-            sims[:, disallowed] = -np.inf
-            nearest[lo:hi] = sims.argmax(axis=1)
+        if rows.size == 0:
+            return nearest
+        blocks, workers = self._row_blocks(rows.size)
+        size = max(stop - start for start, stop in blocks)
+        encode, score = self._block_scorer(feature_weights)
+
+        def reassign(todo) -> None:
+            buffer = np.empty((size, self.n_clusters), dtype=np.float64)
+            for lo, hi, encoded in todo:
+                sims = score(encoded, buffer[: hi - lo])
+                sims[:, disallowed] = -np.inf
+                nearest[lo:hi] = sims.argmax(axis=1)
+
+        with one_blas_thread():
+            for i in range(0, len(blocks), workers):
+                wave = [
+                    (lo, hi, encode(self._packed_codes[rows[lo:hi]]))
+                    for lo, hi in blocks[i : i + workers]
+                ]
+                run_in_threads(partial(reassign, iter(wave)), workers)
         return nearest
 
     def _block_scorer(self, feature_weights: Optional[np.ndarray]):
-        """``score(packed_codes, out)``: similarities of a block of packed codes into ``out``."""
+        """``(encode, score)`` of blocked scoring.
+
+        ``score(encode(packed_codes), out)`` writes a block's similarities
+        into ``out``; ``encode`` runs on the calling thread.
+        """
         column_weights = self._column_weights(feature_weights)
-        return lambda packed_codes, out: self._similarity_block(
-            self._one_hot(packed_codes), column_weights, out=out
+        return self._one_hot, lambda onehot, out: self._similarity_block(
+            onehot, column_weights, out=out
         )
 
     # ------------------------------------------------------------------ #

@@ -106,18 +106,20 @@ def counts_feature_cluster_weights(
 def counts_modes(
     packed: np.ndarray, valid_counts: np.ndarray, n_categories: Sequence[int]
 ) -> np.ndarray:
-    """Per-cluster modal values of a packed count table: shape ``(k, d)``."""
+    """Per-cluster modal values of a packed count table: shape ``(k, d)``.
+
+    One ``argmax`` over a ``(k, d, max m)`` grid of the counts padded with
+    ``-1`` (never the first maximum, as counts are non-negative); a cluster
+    with no value of a feature gets ``-1``.
+    """
     n_categories = list(n_categories)
-    k = packed.shape[0]
-    d = len(n_categories)
-    offsets = _offsets(n_categories)
-    out = np.full((k, d), -1, dtype=np.int64)
-    for r in range(d):
-        start = offsets[r]
-        segment = packed[:, start : start + n_categories[r]]
-        has_any = valid_counts[:, r] > 0
-        out[has_any, r] = np.argmax(segment[has_any], axis=1)
-    return out
+    k, d = packed.shape[0], len(n_categories)
+    sizes = np.asarray(n_categories, dtype=np.int64)
+    features = np.repeat(np.arange(d), sizes)
+    values = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    grid = np.full((k, d, int(sizes.max(initial=1))), -1.0)
+    grid[:, features, values] = packed
+    return np.where(valid_counts > 0, grid.argmax(axis=2), -1).astype(np.int64)
 
 
 def state_from_labels(
@@ -125,16 +127,24 @@ def state_from_labels(
     n_categories: Sequence[int],
     labels: np.ndarray,
     n_clusters: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> "EngineState":
     """Count an assignment directly into an :class:`EngineState`.
 
     Follows the same conventions as the engine backends: ``sizes`` counts
-    every assigned object (``labels >= 0``), while ``packed`` and
+    every assigned object (``0 <= labels < n_clusters``), while ``packed`` and
     ``valid_counts`` exclude missing entries (``codes == -1``).  The result is
     bit-identical to ``make_engine(...).snapshot()`` but needs no engine (no
     one-hot cache, no similarity kernels), which is what makes it cheap enough
     to run after every fit — it is the persistence layer's way of capturing a
     fitted model's sufficient statistics.
+
+    ``weights`` (one integer-valued weight per row, e.g. the multiplicity
+    of a distinct row) scales each row's counts; integer-valued float sums
+    are exact, so the counts equal those of each row repeated that many
+    times.  Every count is one ``bincount`` over linearised ``(cluster,
+    packed value)`` cells, with a spare cluster row for unassigned objects
+    and a spare column for missing values, both dropped.
     """
     codes = np.asarray(codes, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -147,20 +157,17 @@ def state_from_labels(
     if n_clusters is None:
         n_clusters = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1
     k = int(n_clusters)
-    offsets = _offsets(n_categories)
+    M = sum(n_categories)
+    width = M + 1
 
-    assigned = labels >= 0
-    sizes = np.bincount(labels[assigned], minlength=k)[:k].astype(np.float64)
-    packed = np.zeros((k, sum(n_categories)), dtype=np.float64)
-    valid = np.zeros((k, d), dtype=np.float64)
-    for r in range(d):
-        col = codes[:, r]
-        present = assigned & (col >= 0)
-        lab = labels[present]
-        m_r = n_categories[r]
-        flat = np.bincount(lab * m_r + col[present], minlength=k * m_r)[: k * m_r]
-        packed[:, offsets[r] : offsets[r] + m_r] = flat.reshape(k, m_r)
-        valid[:, r] = np.bincount(lab, minlength=k)[:k]
+    rows = np.where((labels >= 0) & (labels < k), labels, k)
+    cells = np.where(codes >= 0, codes + _offsets(n_categories), M)
+    lin = (rows * width)[:, None] + cells
+    cell_weights = None if weights is None else np.repeat(weights, d)
+    counts = np.bincount(lin.ravel(), weights=cell_weights, minlength=(k + 1) * width)
+    packed = counts.reshape(k + 1, width)[:k, :-1].astype(np.float64)
+    sizes = np.bincount(rows, weights=weights, minlength=k + 1)[:k].astype(np.float64)
+    valid = _segment_sums(packed, n_categories) if d else np.zeros((k, 0))
     return EngineState(packed, valid, sizes, tuple(n_categories))
 
 

@@ -6,9 +6,11 @@ import pytest
 from repro.core import CAME, MCDC, MCDCEncoder, MGCPL, CompetitiveLearningClusterer
 from repro.core.ablations import MCDC1, MCDC2, MCDC3, MCDC4, make_ablation
 from repro.core.base import compact_labels, coerce_codes
+from repro.core.came import DistinctRows
 from repro.core.mgcpl import cluster_weight_from_delta
 from repro.data.dataset import CategoricalDataset
 from repro.metrics import adjusted_rand_index, clustering_accuracy
+from repro.utils.rng import spawn_rngs
 
 
 class TestBase:
@@ -183,6 +185,162 @@ class TestCAME:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             CAME(n_clusters=10).fit(np.zeros((3, 2), dtype=int))
+
+
+def per_object_came(X, k, weighted=True, n_init=10, max_iter=100, random_state=None):
+    """CAME with every step over all ``n`` objects: the reference for the
+    distinct-row aggregation.  Returns ``(labels, theta, modes, objective,
+    n_iter)`` as the fitted attributes hold them."""
+    gamma, cats = coerce_codes(X)
+    n, sigma = gamma.shape
+    sentinel = np.asarray(cats, dtype=np.int64)
+    has_missing = bool((gamma < 0).any())
+    if has_missing:
+        gamma = np.where(gamma >= 0, gamma, sentinel[None, :])
+        cats = [m + 1 for m in cats]
+    unique_rows = np.unique(gamma, axis=0)
+
+    def assign(modes, theta):
+        distances = np.zeros((n, k))
+        for r in range(sigma):  # ascending levels, as the Hamming kernel adds them
+            distances += np.where(gamma[:, r, None] != modes[None, :, r], theta[r], 0.0)
+        return np.argmin(distances, axis=1)
+
+    def repair(labels, rng):
+        labels = labels.copy()
+        for cluster in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            donors = np.flatnonzero(np.bincount(labels, minlength=k)[labels] > 1)
+            if donors.size == 0:
+                break
+            labels[rng.choice(donors)] = cluster
+        return labels
+
+    def modes_of(labels):
+        modes = np.zeros((k, sigma), dtype=np.int64)
+        for cluster in range(k):
+            for r in range(sigma):
+                counts = np.bincount(gamma[labels == cluster, r], minlength=cats[r])
+                modes[cluster, r] = np.argmax(counts) if counts.sum() else 0
+        return modes
+
+    best = None
+    for rng in spawn_rngs(random_state, n_init):
+        theta = np.full(sigma, 1.0 / sigma)
+        if unique_rows.shape[0] >= k:
+            modes = unique_rows[rng.choice(unique_rows.shape[0], size=k, replace=False)].copy()
+        else:
+            modes = gamma[rng.choice(n, size=k, replace=n < k)].copy()
+        labels = repair(assign(modes, theta), rng)
+        n_iter = 0
+        for iteration in range(max_iter):
+            n_iter = iteration + 1
+            modes = modes_of(labels)
+            if weighted:
+                matches = (gamma == modes[labels]).sum(axis=0).astype(np.float64)
+                total = matches.sum()
+                theta = matches / total if total > 0 else np.full(sigma, 1.0 / sigma)
+            new_labels = repair(assign(modes, theta), rng)
+            if np.array_equal(new_labels, labels):
+                labels = new_labels
+                break
+            labels = new_labels
+        modes = modes_of(labels)
+        mismatches = (gamma != modes[labels]).astype(np.float64)
+        objective = float((mismatches * theta[None, :]).sum())
+        if best is None or objective < best[3]:
+            best = (compact_labels(labels), theta, modes, objective, n_iter)
+    labels, theta, modes, objective, n_iter = best
+    if has_missing:
+        modes = np.where(modes == sentinel[None, :], -1, modes)
+    return labels, theta, modes, objective, n_iter
+
+
+def nested_encoding(rng, n, sigma=4, missing=0.0):
+    """Gamma with heavy duplication: every level coarsens the one before."""
+    labels = rng.integers(0, 2 ** (sigma + 1), size=n)
+    gamma = np.stack([labels >> r for r in range(sigma)], axis=1)
+    noisy = rng.random(gamma.shape) < 0.05
+    gamma[noisy] = rng.integers(0, 3, size=noisy.sum())
+    gamma[rng.random(gamma.shape) < missing] = -1
+    return gamma
+
+
+#: Encodings for the distinct-row CAME: (gamma builder, k, repair fires).
+CAME_CASES = {
+    "heavy-duplication": lambda rng: nested_encoding(rng, 600),
+    "all-distinct": lambda rng: np.stack(
+        [rng.permutation(150), rng.integers(0, 4, size=150), rng.integers(0, 3, size=150)],
+        axis=1,
+    ),
+    "all-identical": lambda rng: np.ones((40, 3), dtype=np.int64),
+    "missing-values": lambda rng: nested_encoding(rng, 400, missing=0.1),
+    "few-distinct-rows": lambda rng: rng.integers(0, 2, size=(300, 2)),
+}
+
+
+class TestCAMEDistinctRows:
+    """CAME on Gamma's distinct rows gives the per-object algorithm's bytes."""
+
+    @pytest.mark.parametrize("case", sorted(CAME_CASES))
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("n_init", [1, 3])
+    def test_matches_the_per_object_reference(self, case, weighted, n_init):
+        gamma = CAME_CASES[case](np.random.default_rng(len(case)))
+        k = 5
+        came = CAME(n_clusters=k, weighted=weighted, n_init=n_init, random_state=4).fit(gamma)
+        labels, theta, modes, objective, n_iter = per_object_came(
+            gamma, k, weighted=weighted, n_init=n_init, random_state=4
+        )
+        assert came.labels_.tobytes() == labels.tobytes()
+        assert came.feature_weights_.tobytes() == theta.tobytes()
+        assert came.modes_.tobytes() == modes.tobytes()
+        assert np.float64(came.objective_).tobytes() == np.float64(objective).tobytes()
+        assert came.n_iter_ == n_iter
+
+    @pytest.mark.parametrize("case", ["all-identical", "few-distinct-rows"])
+    def test_repair_fires_and_splits_duplicates(self, case, monkeypatch):
+        """Fewer distinct rows than clusters: the repair moves objects."""
+        gamma = CAME_CASES[case](np.random.default_rng(len(case)))
+        moved = []
+        repair = CAME._repair_empty
+
+        def recording(self, gamma, labels, rng):
+            repaired = repair(self, gamma, labels, rng)
+            moved.append(int((repaired != labels).sum()))
+            return repaired
+
+        monkeypatch.setattr(CAME, "_repair_empty", recording)
+        CAME(n_clusters=5, n_init=2, random_state=4).fit(gamma)
+        assert moved and max(moved) > 0
+
+    def test_mcdc_encoding_matches_the_reference(self, small_clusters):
+        gamma = MGCPL(random_state=3).fit_encode(small_clusters)
+        came = CAME(n_clusters=3, random_state=5).fit(gamma)
+        labels, theta, modes, objective, n_iter = per_object_came(gamma, 3, random_state=5)
+        assert came.labels_.tobytes() == labels.tobytes()
+        assert came.feature_weights_.tobytes() == theta.tobytes()
+        assert came.modes_.tobytes() == modes.tobytes()
+        assert came.objective_ == objective and came.n_iter_ == n_iter
+
+
+class TestDistinctRows:
+    """``DistinctRows.of`` finds ``np.unique(axis=0)``'s rows, in its order."""
+
+    @pytest.mark.parametrize(
+        "shape, high",
+        [((500, 3), 4), ((2000, 6), 30), ((300, 30), 200), ((50, 1), 7), ((200, 2), 2**62)],
+        ids=["small", "mcdc-like", "sigma30-m200", "one-level", "huge-codes"],
+    )
+    def test_matches_numpy_unique(self, shape, high):
+        rng = np.random.default_rng(shape[1])
+        base = rng.integers(0, high, size=(shape[0] // 4 + 1, shape[1]))
+        gamma = base[rng.integers(0, base.shape[0], size=shape[0])]  # repeated rows
+        rows, inverse, counts = np.unique(gamma, axis=0, return_inverse=True, return_counts=True)
+        distinct = DistinctRows.of(gamma, [high] * shape[1])
+        assert distinct.rows.tobytes() == rows.tobytes()
+        assert np.array_equal(distinct.multiplicity, counts)
+        assert np.array_equal(distinct.inverse, inverse.ravel())
+        assert np.array_equal(distinct.rows[distinct.inverse], gamma)
 
 
 class TestMCDC:

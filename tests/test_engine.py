@@ -49,6 +49,7 @@ from repro.core.sync import (
 )
 from repro.data.uci.registry import available_datasets, load_dataset
 from repro.engine import LoopEngine, PackedFrequencyEngine, make_engine, resolve_engine_kind
+from repro.utils.blas import blas_threads
 
 #: The dense engine with its one-hot cap at 0 cells: every block is encoded afresh.
 STREAMED = "streamed"
@@ -307,8 +308,8 @@ class TestBackendSelection:
             cached.nearest_clusters(rows, allowed, broadcast.omega),
         )
         assert_updates_identical(
-            mgcpl_sweep_local(streamed, labels, broadcast),
-            mgcpl_sweep_local(cached, labels, broadcast),
+            mgcpl_sweep_local(streamed, labels, broadcast, broadcast.state),
+            mgcpl_sweep_local(cached, labels, broadcast, broadcast.state),
         )
 
 
@@ -399,11 +400,13 @@ class TestBlockedSweep:
         assert len(blocks) == n_blocks
         codes, labels, broadcast = sweep_problem(k + n, n, k, first_sweep, weighted)
         blocked = packed_engine(codes, SWEEP_CATS, k, kind)
-        update = mgcpl_sweep_local(blocked, labels, broadcast)
+        update = mgcpl_sweep_local(blocked, labels, broadcast, broadcast.state)
         # One block makes the similarity matrix one whole product.
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", ONE_BLOCK)
         whole = packed_engine(codes, SWEEP_CATS, k, kind)
-        assert_updates_identical(update, mgcpl_sweep_local(_NumPyPath(whole), labels, broadcast))
+        assert_updates_identical(
+            update, mgcpl_sweep_local(_NumPyPath(whole), labels, broadcast, broadcast.state)
+        )
 
     def test_sweep_blocks_layout(self, monkeypatch):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
@@ -458,12 +461,14 @@ class TestBlockedSweep:
         codes, labels, broadcast = sweep_problem(12, n, k, False, weighted, cats=cats)
         loop = make_engine(codes, cats, k, kind="loop")
         for _ in range(2):
-            update = mgcpl_sweep_local(loop, labels, broadcast)
+            update = mgcpl_sweep_local(loop, labels, broadcast, broadcast.state)
             labels, broadcast.state = update.labels, update.state
         assert len(packed_mod.sweep_blocks(n, k, sum(cats))) == 3
         assert_updates_identical(
-            mgcpl_sweep_local(packed_engine(codes, cats, k, kind), labels, broadcast),
-            mgcpl_sweep_local(loop, labels, broadcast),
+            mgcpl_sweep_local(
+                packed_engine(codes, cats, k, kind), labels, broadcast, broadcast.state
+            ),
+            mgcpl_sweep_local(loop, labels, broadcast, broadcast.state),
         )
 
 
@@ -551,13 +556,13 @@ class TestBlockedReassignment:
         scorer, scored = engine._block_scorer, []
 
         def recording_scorer(feature_weights):
-            score = scorer(feature_weights)
+            encode, score = scorer(feature_weights)
 
-            def recorded(packed_codes, out):
-                scored.append(score(packed_codes, out).copy())
+            def recorded(encoded, out):
+                scored.append(score(encoded, out).copy())
                 return out
 
-            return recorded
+            return encode, recorded
 
         monkeypatch.setattr(engine, "_block_scorer", recording_scorer)
         rows = np.flatnonzero(labels < 0)
@@ -565,6 +570,42 @@ class TestBlockedReassignment:
         assert len(scored) == 1
         assert rows.size < packed_mod.block_floor(k, sum(SWEEP_CATS))
         assert scored[0].tobytes() == whole[rows].tobytes()
+
+    @pytest.mark.parametrize("kind", ["dense", STREAMED])
+    @pytest.mark.parametrize("k", [19, 224])
+    def test_same_bits_at_any_worker_count(self, monkeypatch, kind, k):
+        """Blocks on 1, 2 or 3 workers give the bytes of one whole product;
+        the workers score under one BLAS thread and the caller's count
+        comes back afterwards."""
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        rows_per_block = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        n = 16 * rows_per_block + rows_per_block // 3  # strands over three blocks
+        codes, labels, alive = reassign_problem(n + k, n, k, "with-empty-alive")
+        omega = np.random.default_rng(k).random((len(SWEEP_CATS), k))
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", ONE_BLOCK)
+        expected, stranded, allowed = whole_matrix_reassignment(codes, labels, alive, omega, kind)
+        monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
+        engine = packed_engine(
+            codes, SWEEP_CATS, k, kind, labels=np.where(stranded, -1, labels)
+        )
+        rows = np.flatnonzero(stranded)
+
+        inside = set()
+        similarity_block = PackedFrequencyEngine._similarity_block
+
+        def spy(self, *args, **kwargs):
+            inside.update(blas_threads().values())
+            return similarity_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(PackedFrequencyEngine, "_similarity_block", spy)
+        before = blas_threads()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(packed_mod, "cpu_share", lambda: workers)
+            assert engine._row_blocks(rows.size)[1] == workers
+            got = engine.nearest_clusters(rows, allowed, omega)
+            assert got.tobytes() == expected[rows].tobytes()
+            assert blas_threads() == before
+        assert inside == ({1} if before else set())
 
     def test_peak_allocation_stays_below_one_n_by_k_matrix(self):
         """No ``(n, k)`` float64 matrix: the trace peak stays below one."""

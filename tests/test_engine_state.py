@@ -6,7 +6,7 @@ import pytest
 
 import repro.engine.packed as packed_mod
 from repro.core.sync import contiguous_shards
-from repro.engine import EngineState, make_engine
+from repro.engine import EngineState, make_engine, state_from_labels
 
 #: ``"streamed"`` is the dense engine with its one-hot cap at 0 cells.
 KINDS = ("dense", "streamed", "loop")
@@ -156,3 +156,66 @@ class TestCountOnlyStatistics:
         clone = pickle.loads(pickle.dumps(state))
         np.testing.assert_array_equal(clone.packed, state.packed)
         assert clone.n_categories == state.n_categories
+
+
+def per_feature_counts(codes, n_categories, labels, k):
+    """Two bincounts per feature: the reference for ``state_from_labels``."""
+    offsets = np.concatenate(([0], np.cumsum(n_categories)[:-1]))
+    assigned = labels >= 0
+    sizes = np.bincount(labels[assigned], minlength=k)[:k].astype(np.float64)
+    packed = np.zeros((k, sum(n_categories)))
+    valid = np.zeros((k, len(n_categories)))
+    for r, m in enumerate(n_categories):
+        present = assigned & (codes[:, r] >= 0)
+        lab = labels[present]
+        flat = np.bincount(lab * m + codes[present, r], minlength=k * m)[: k * m]
+        packed[:, offsets[r] : offsets[r] + m] = flat.reshape(k, m)
+        valid[:, r] = np.bincount(lab, minlength=k)[:k]
+    return packed, valid, sizes
+
+
+def per_feature_modes(packed, valid, n_categories):
+    """An argmax per feature segment: the reference for ``counts_modes``."""
+    offsets = np.concatenate(([0], np.cumsum(n_categories)[:-1]))
+    out = np.full(valid.shape, -1, dtype=np.int64)
+    for r, m in enumerate(n_categories):
+        has_any = valid[:, r] > 0
+        out[has_any, r] = np.argmax(packed[has_any, offsets[r] : offsets[r] + m], axis=1)
+    return out
+
+
+class TestVectorisedCounts:
+    """The one-bincount counts and the one-argmax modes keep the bytes of
+    the per-feature helpers they replaced."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_state_and_modes_match_the_per_feature_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(1, 120)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        cats = [int(m) for m in rng.integers(1, 6, size=d)]  # single-category features too
+        codes = np.stack([rng.integers(0, m, size=n) for m in cats], axis=1)
+        codes[rng.random((n, d)) < 0.2] = -1
+        labels = rng.integers(-1, k, size=n)
+        state = state_from_labels(codes, cats, labels, k)
+        packed, valid, sizes = per_feature_counts(codes, cats, labels, k)
+        assert state.packed.tobytes() == packed.tobytes()
+        assert state.valid_counts.tobytes() == valid.tobytes()
+        assert state.sizes.tobytes() == sizes.tobytes()
+        modes = state.modes()
+        assert modes.dtype == np.int64
+        assert modes.tobytes() == per_feature_modes(packed, valid, cats).tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weighted_rows_count_as_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        cats, k = [3, 1, 4], 4
+        rows = np.stack([rng.integers(-1, m, size=30) for m in cats], axis=1)
+        labels = rng.integers(-1, k, size=30)
+        weights = rng.integers(1, 6, size=30)
+        weighted = state_from_labels(rows, cats, labels, k, weights=weights)
+        repeated = state_from_labels(
+            np.repeat(rows, weights, axis=0), cats, np.repeat(labels, weights), k
+        )
+        assert weighted.packed.tobytes() == repeated.packed.tobytes()
+        assert weighted.valid_counts.tobytes() == repeated.valid_counts.tobytes()
+        assert weighted.sizes.tobytes() == repeated.sizes.tobytes()

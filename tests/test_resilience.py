@@ -319,10 +319,13 @@ class TestRecovery:
                 "tcp", small_clusters.codes, small_clusters.n_categories,
                 shards=2, hosts=hosts, max_retries=3,
             )
-            # rebuild before any begin_epoch: a deterministic application
-            # error from a healthy worker — recovery must NOT kick in.
+            # hamming_assign before any begin_epoch: a deterministic
+            # application error from a healthy worker — recovery must NOT
+            # kick in.
             with pytest.raises(RemoteWorkerError, match="worker raised"):
-                executor.rebuild(np.zeros(small_clusters.n_objects, dtype=np.int64))
+                executor.hamming_assign(
+                    small_clusters.codes[[0, 1]], np.ones(small_clusters.codes.shape[1])
+                )
             assert executor.recovery_events == []
             executor.close()
 

@@ -26,7 +26,7 @@ from repro.distributed import (
     make_executor,
     resolve_shard_indices,
 )
-from repro.engine import make_engine
+from repro.engine import make_engine, state_from_labels
 from repro.experiments.runner import map_trials
 from repro.metrics import adjusted_rand_index
 
@@ -159,6 +159,27 @@ class TestShardedCAME:
         np.testing.assert_array_equal(serial.modes_, sharded.modes_)
         np.testing.assert_allclose(serial.feature_weights_, sharded.feature_weights_)
 
+    @pytest.mark.parametrize("layout", ["assignments", "index-arrays", "plan"])
+    def test_object_level_shard_layout(self, small_clusters, layout):
+        """Each distinct row of Gamma goes to the shard of its first object."""
+        gamma = MGCPL(random_state=3).fit(small_clusters).encoding_
+        n = gamma.shape[0]
+        assignments = np.random.default_rng(1).integers(0, 3, size=n)
+        spec = {
+            "assignments": assignments,
+            "index-arrays": [np.flatnonzero(assignments == s) for s in range(3)],
+            "plan": MultiGranularPartitioner(3, random_state=0).fit_partition(small_clusters),
+        }[layout]
+        serial = CAME(n_clusters=3, random_state=5).fit(gamma)
+        sharded = ShardedCAME(
+            n_clusters=3, n_shards=spec, backend="serial", random_state=5
+        ).fit(gamma)
+        assert sharded.labels_.tobytes() == serial.labels_.tobytes()
+        assert sharded.objective_ == serial.objective_
+        executor = sharded.last_executor_
+        covered = np.sort(np.concatenate(executor.shard_indices))
+        assert np.array_equal(covered, np.arange(np.unique(gamma, axis=0).shape[0]))
+
 
 class TestShardedMCDC:
     def test_matches_serial_pipeline(self, small_clusters):
@@ -183,18 +204,48 @@ class TestShardedMCDC:
             ) >= 0.95
 
 
-class TestShardedCoordinator:
-    def test_rebuild_merges_exactly(self, small_clusters):
-        codes, cats = small_clusters.codes, list(small_clusters.n_categories)
-        rng = np.random.default_rng(2)
-        labels = rng.integers(0, 5, size=codes.shape[0]).astype(np.int64)
-        with make_executor("serial", codes, cats, shards=3) as coordinator:
-            coordinator.begin_epoch(5, labels)
-            merged = coordinator.rebuild(labels)
-        full = make_engine(codes, cats, 5, labels=labels).snapshot()
-        np.testing.assert_array_equal(merged.packed, full.packed)
-        np.testing.assert_array_equal(merged.sizes, full.sizes)
+class TestMovedRowCounts:
+    """A sweep's counts, updated from the rows that moved, equal a full recount."""
 
+    @pytest.mark.parametrize("engine", ["dense", "loop"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_counts_equal_a_full_recount_after_every_sweep(self, engine, weighted):
+        rng = np.random.default_rng(7)
+        n, k = 900, 6
+        cats = [1, 3, 5, 2, 4]
+        codes = np.stack([rng.integers(0, m, size=n) for m in cats], axis=1)
+        codes[rng.random(codes.shape) < 0.1] = -1
+        # Three uneven shards: 150, 480 and 270 rows.
+        shards = [np.arange(0, 150), np.arange(150, 630), np.arange(630, n)]
+        executor = InProcessShardExecutor(codes, cats, shards, engine=engine)
+        # A third of the rows start unassigned (-1), as in an epoch's first sweep.
+        labels = np.where(rng.random(n) < 1 / 3, -1, rng.integers(0, k, size=n))
+        state = executor.begin_epoch(k, labels)
+        u = cluster_weight_from_delta(np.ones(k))
+        omega = rng.random((len(cats), k)) if weighted else None
+        partial_updates = 0
+        for _ in range(6):
+            outcome = executor.sweep(SweepBroadcast(
+                state=state, u=u, rho=np.zeros(k), omega=omega,
+                blocked=np.zeros(k, dtype=bool),
+            ))
+            full = state_from_labels(codes, cats, outcome.labels, k)
+            for got, want in zip(
+                (outcome.state.packed, outcome.state.valid_counts, outcome.state.sizes),
+                (full.packed, full.valid_counts, full.sizes),
+            ):
+                assert got.tobytes() == want.tobytes()
+            for worker, idx in zip(executor._workers, shards):
+                shard = state_from_labels(codes[idx], cats, outcome.labels[idx], k)
+                assert worker.counts.packed.tobytes() == shard.packed.tobytes()
+                assert worker.counts.sizes.tobytes() == shard.sizes.tobytes()
+                moved = np.count_nonzero(outcome.labels[idx] != labels[idx])
+                partial_updates += 0 < 2 * moved <= idx.size
+            labels, state = outcome.labels, outcome.state
+        assert partial_updates > 0, "no sweep took the moved-row update"
+
+
+class TestShardedCoordinator:
     def test_hamming_assign_matches_full_engine(self, small_clusters):
         codes, cats = small_clusters.codes, list(small_clusters.n_categories)
         rng = np.random.default_rng(4)

@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.came import CAME
 from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
 from repro.core.sync import InProcessShardExecutor, SweepBroadcast
 from repro.data.uci.registry import load_dataset
@@ -40,11 +41,12 @@ from repro.distributed import (
 )
 from repro.distributed import rpc
 from repro.distributed.transport import (
+    RemoteWorkerError,
     ShardExecutor,
     get_backend_spec,
     resolve_backend,
 )
-from repro.engine import make_engine
+from repro.engine import make_engine, state_from_labels
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -163,20 +165,35 @@ class TestTCPEquivalence:
         )
         serial.fit(gamma)
         over_tcp.fit(gamma)
-        np.testing.assert_array_equal(over_tcp.labels_, serial.labels_)
-        assert over_tcp.objective_ == serial.objective_
-        np.testing.assert_array_equal(over_tcp.modes_, serial.modes_)
+        reference = CAME(n_clusters=3, random_state=5).fit(gamma)
+        for model in (serial, over_tcp):
+            assert model.labels_.tobytes() == reference.labels_.tobytes()
+            assert model.feature_weights_.tobytes() == reference.feature_weights_.tobytes()
+            assert model.modes_.tobytes() == reference.modes_.tobytes()
+            assert model.objective_ == reference.objective_
+            assert model.n_iter_ == reference.n_iter_
+        # The shards hold Gamma's distinct rows, fewer than its objects.
+        shipped = sum(idx.size for idx in over_tcp.last_executor_.shard_indices)
+        assert shipped == np.unique(gamma, axis=0).shape[0] < gamma.shape[0]
 
-    def test_executor_level_counts_merge_exactly(self, small_clusters, tcp_hosts):
+    def test_sweep_counts_merge_exactly(self, small_clusters, tcp_hosts):
+        """Each worker's moved-row counts merge to a full recount, every sweep."""
         codes, cats = small_clusters.codes, list(small_clusters.n_categories)
+        k = 5
         rng = np.random.default_rng(2)
-        labels = rng.integers(0, 5, size=codes.shape[0]).astype(np.int64)
+        labels = rng.integers(0, k, size=codes.shape[0]).astype(np.int64)
         with make_executor("tcp", codes, cats, shards=3, hosts=tcp_hosts) as executor:
-            executor.begin_epoch(5, labels)
-            merged = executor.rebuild(labels)
-        full = make_engine(codes, cats, 5, labels=labels).snapshot()
-        np.testing.assert_array_equal(merged.packed, full.packed)
-        np.testing.assert_array_equal(merged.sizes, full.sizes)
+            state = executor.begin_epoch(k, labels)
+            for _ in range(3):
+                outcome = executor.sweep(SweepBroadcast(
+                    state=state, u=np.ones(k), rho=rng.random(k) / 2,
+                    omega=None, blocked=np.zeros(k, dtype=bool),
+                ))
+                full = state_from_labels(codes, cats, outcome.labels, k)
+                assert outcome.state.packed.tobytes() == full.packed.tobytes()
+                assert outcome.state.valid_counts.tobytes() == full.valid_counts.tobytes()
+                assert outcome.state.sizes.tobytes() == full.sizes.tobytes()
+                state = outcome.state
 
     def test_scattered_shard_indices(self, small_clusters, tcp_hosts):
         """Non-contiguous shards ship their own rows over the wire."""
@@ -393,9 +410,11 @@ class TestFailurePaths:
             tcp_hosts[0], small_clusters.codes[:10], list(small_clusters.n_categories)
         )
         try:
-            # rebuild before begin_epoch: the shard engine does not exist yet,
-            # so the worker raises and must report it back — and keep serving.
-            transport.submit("rebuild", (np.zeros(10, dtype=np.int64),))
+            # hamming_assign before begin_epoch: the shard engine does not
+            # exist yet, so the worker raises and must report it back — and
+            # keep serving.
+            codes = small_clusters.codes
+            transport.submit("hamming_assign", (codes[[0, 1]], np.ones(codes.shape[1])))
             with pytest.raises(TransportError, match="worker raised"):
                 transport.result()
             transport.submit("ping", ())
@@ -697,8 +716,8 @@ class TestCodecFuzz:
 # ---------------------------------------------------------------------- #
 # Retired shard verbs: what a coordinator that still sends them gets
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("method", ["append", "split", "online_sims"])
-def test_retired_verb_ends_the_session_and_the_worker_keeps_serving(
+@pytest.mark.parametrize("method", ["append", "split", "online_sims", "rebuild"])
+def test_retired_verb_gets_an_error_and_the_worker_keeps_serving(
     method, small_clusters
 ):
     codes, cats = small_clusters.codes, list(small_clusters.n_categories)
@@ -717,9 +736,17 @@ def test_retired_verb_ends_the_session_and_the_worker_keeps_serving(
             assert kind == "welcome" and meta["n_objects"] == 20
             # The worker rejects a retired verb by its name, before reading
             # any argument, so what an older coordinator attached is moot.
-            rpc.send_frame(sock, rpc.pack_message("call", {"method": method}))
-            # The worker closes the session: EOF, neither a reply nor a hang.
-            assert sock.recv(1 << 16) == b""
+            rpc.send_frame(sock, rpc.pack_message(
+                "call", {"method": method}, labels=np.zeros(20, dtype=np.int64)
+            ))
+            kind, meta, arrays = rpc.unpack_message(rpc.recv_frame(sock))
+            assert kind == "error" and meta["error"] == "ProtocolError"
+            with pytest.raises(RemoteWorkerError, match=f"unknown shard method {method!r}"):
+                rpc.decode_result(kind, meta, arrays)
+            # The session goes on: the next call is served.
+            rpc.send_frame(sock, rpc.encode_request("ping", ()))
+            kind, meta, arrays = rpc.unpack_message(rpc.recv_frame(sock))
+            assert rpc.decode_result(kind, meta, arrays) == 20
         finally:
             sock.close()
         # The same worker still takes a new session and a whole fit.
