@@ -12,7 +12,8 @@ configuration lands in ``BENCH_serving.json`` (via
 the tree.
 
 Armed assertion: at 64 concurrent clients, batched+pipelined predicts must
-be at least **3x** the sequential per-row throughput.  The sequential path
+be at least **3x** the sequential per-row throughput, in the median of three
+alternating pairs (each side on a fresh server).  The sequential path
 spends its budget on per-request system calls, thread hand-offs and kernel
 launches; the pipelined path shares them across a batch, and the batcher
 answers each session's share of a batch with one frame.  On a shared 2-CPU
@@ -28,6 +29,8 @@ scale.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -43,6 +46,7 @@ FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 N_CLIENTS = 64
 SEQ_REQUESTS = 100 if FULL_SCALE else 25      # per client, strict path
 PIPE_REQUESTS = 400 if FULL_SCALE else 100    # per client, pipelined path
+GATE_PAIRS = 3                                # alternating seq/pipelined pairs
 FIT_N, FIT_D, FIT_K = 3000, 12, 8
 
 
@@ -115,64 +119,81 @@ def _drive_clients(n_clients, address, requests, rows, reference, pipelined):
     return elapsed
 
 
+def _timed_phase(model, codes, reference, pipelined):
+    """One loaded phase on a fresh server; returns (seconds, server info)."""
+    server = serve_model(model, max_batch_rows=4096 if pipelined else 0)
+    try:
+        seconds = _drive_clients(
+            N_CLIENTS, server.address, PIPE_REQUESTS if pipelined else SEQ_REQUESTS,
+            codes, reference, pipelined=pipelined,
+        )
+        info = server.info()
+    finally:
+        assert server.stop(timeout=15)
+    return seconds, info
+
+
 def test_batched_pipelining_beats_sequential_at_64_clients(benchmark):
-    """The armed 3x: pipelined+batched vs strict per-row, 64 clients."""
+    """The armed 3x: pipelined+batched vs strict per-row, 64 clients.
+
+    One sample of each side under a varying host load once read 2.84x, so
+    the gate compares the median of :data:`GATE_PAIRS` alternating
+    sequential/pipelined pairs, each side on a fresh server.
+    """
     model, codes = _shared_model()[0]
     reference = model.predict(codes)
-
-    sequential = serve_model(model, max_batch_rows=0)
-    try:
-        seq_seconds = _drive_clients(
-            N_CLIENTS, sequential.address, SEQ_REQUESTS, codes, reference,
-            pipelined=False,
-        )
-    finally:
-        assert sequential.stop(timeout=15)
     seq_total = N_CLIENTS * SEQ_REQUESTS
-    seq_tp = seq_total / seq_seconds
-
-    batched = serve_model(model, max_batch_rows=4096)
-    try:
-        def loaded_phase():
-            return _drive_clients(
-                N_CLIENTS, batched.address, PIPE_REQUESTS, codes, reference,
-                pipelined=True,
-            )
-
-        pipe_seconds = benchmark.pedantic(loaded_phase, iterations=1, rounds=1)
-        server_info = batched.info()
-    finally:
-        assert batched.stop(timeout=15)
     pipe_total = N_CLIENTS * PIPE_REQUESTS
-    pipe_tp = pipe_total / pipe_seconds
-    speedup = pipe_tp / seq_tp
+
+    def pairs():
+        runs = []
+        for index in range(GATE_PAIRS):
+            order = (False, True) if index % 2 == 0 else (True, False)
+            timed = {pipelined: _timed_phase(model, codes, reference, pipelined)
+                     for pipelined in order}
+            runs.append((timed[False][0], timed[True][0], timed[True][1]))
+        return runs
+
+    runs = benchmark.pedantic(pairs, iterations=1, rounds=1)
+    seq_seconds = [seq for seq, _, _ in runs]
+    pipe_seconds = [pipe for _, pipe, _ in runs]
+    speedups = [(pipe_total / pipe) / (seq_total / seq) for seq, pipe, _ in runs]
+    speedup = float(np.median(speedups))
+    seq_tp = seq_total / float(np.median(seq_seconds))
+    pipe_tp = pipe_total / float(np.median(pipe_seconds))
+    server_info = runs[-1][2]
 
     reporting.record(
         "serving", "predict_sequential_64_clients",
         n=seq_total, d=FIT_D, k=FIT_K,
-        wall_seconds=seq_seconds, throughput=seq_tp,
+        wall_seconds=float(np.median(seq_seconds)), throughput=seq_tp,
         clients=N_CLIENTS, requests_per_client=SEQ_REQUESTS,
         max_batch_rows=0, pipelined=False,
+        pairs=GATE_PAIRS, pair_wall_seconds=seq_seconds, pair_speedups=speedups,
     )
     reporting.record(
         "serving", "predict_batched_pipelined_64_clients",
         n=pipe_total, d=FIT_D, k=FIT_K,
-        wall_seconds=pipe_seconds, throughput=pipe_tp, speedup=speedup,
+        wall_seconds=float(np.median(pipe_seconds)), throughput=pipe_tp,
+        speedup=speedup,
         clients=N_CLIENTS, requests_per_client=PIPE_REQUESTS,
         max_batch_rows=4096, pipelined=True,
         baseline="predict_sequential_64_clients",
+        pairs=GATE_PAIRS, pair_wall_seconds=pipe_seconds, pair_speedups=speedups,
         predict_batches=server_info["predict_batches"],
         largest_predict_batch=server_info["largest_predict_batch"],
     )
     benchmark.extra_info["sequential_predicts_per_s"] = seq_tp
     benchmark.extra_info["pipelined_predicts_per_s"] = pipe_tp
     benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["pair_speedups"] = speedups
 
     # Armed: batching+pipelining must pay for itself (median 5.4x on a
     # shared 2-CPU host; see the module docstring).
     assert speedup >= 3.0, (
-        f"batched+pipelined {pipe_tp:.0f}/s is only {speedup:.2f}x the "
-        f"sequential {seq_tp:.0f}/s at {N_CLIENTS} clients (needs >= 3x)"
+        f"batched+pipelined is only {speedup:.2f}x the sequential path at "
+        f"{N_CLIENTS} clients in the median of {GATE_PAIRS} pairs "
+        f"(pairs: {', '.join(f'{x:.2f}x' for x in speedups)}; needs >= 3x)"
     )
 
 
@@ -326,3 +347,114 @@ def test_replica_group_throughput(benchmark):
         max_batch_rows=4096, pipelined=True, replicas=2,
     )
     benchmark.extra_info["routed_predicts_per_s"] = throughput
+
+
+# ---------------------------------------------------------------------- #
+# Cold start: spawn a `repro serve` process -> first answered client
+# ---------------------------------------------------------------------- #
+REPO_SRC = os.path.join(reporting.REPO_ROOT, "src")
+COLD_SPAWNS = 10 if FULL_SCALE else 3
+COLD_FIT_N = 50_000 if FULL_SCALE else 3000
+
+
+def perfbench_shaped_archive(path, n_objects=COLD_FIT_N, seed=1):
+    """Save ``MCDC(n_clusters=8)`` fitted on perfbench's data shape to ``path``."""
+    from repro.persistence import save_model
+
+    ds = make_categorical_clusters(
+        n_objects=n_objects, n_features=12, n_clusters=8, n_categories=6,
+        purity=0.75, random_state=seed, name="cold-start",
+    )
+    return save_model(make_clusterer("mcdc", n_clusters=8, random_state=seed).fit(ds), path)
+
+
+def steal_ticks():
+    """The host's cumulative CPU steal ticks (``/proc/stat``; 0 if unreadable)."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = stat.readline().split()
+        return int(fields[8])
+    except (OSError, IndexError, ValueError):
+        return 0
+
+
+def _peak_rss_mb(pid):
+    """A live process's peak resident set (``VmHWM``) in MB; ``nan`` if unknown."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return float("nan")
+
+
+def spawn_to_first_answer(model_path, src=REPO_SRC, python_flags=(), stderr_path=None):
+    """Spawn ``repro serve MODEL`` from ``src``; time it to the first welcome.
+
+    Returns ``(seconds, child peak RSS in MB)``.  The clock runs from just
+    before the spawn until the first client's handshake is answered; the
+    child is then shut down through the protocol.
+    """
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=src)
+    with open(stderr_path or os.devnull, "wb") as stderr:
+        started = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, *python_flags, "-m", "repro", "serve", str(model_path),
+             "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=stderr, env=env, cwd=os.path.dirname(src),
+        )
+        try:
+            for line in proc.stdout:
+                if b" listening on " in line:
+                    address = line.rsplit(b" ", 1)[1].decode().strip()
+                    break
+            else:
+                raise RuntimeError(f"repro serve exited with {proc.wait()} before listening")
+            client = ServingClient(address, timeout=30.0).connect()
+            seconds = time.perf_counter() - started
+            peak_mb = _peak_rss_mb(proc.pid)
+            client.shutdown_server()
+            proc.wait(30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+    return seconds, peak_mb
+
+
+def test_cold_start_to_first_answer(benchmark, tmp_path):
+    """Spawn -> first welcome of ``repro serve`` on an MCDC archive (recorded,
+    not armed: the time is mostly interpreter and import start-up, which host
+    load moves).  Asserts that the server never imports ``networkx``."""
+    model_path = perfbench_shaped_archive(tmp_path / "model.npz")
+
+    def spawns():
+        steal_before = steal_ticks()
+        runs = [spawn_to_first_answer(model_path) for _ in range(COLD_SPAWNS)]
+        return runs, steal_ticks() - steal_before
+
+    runs, steal = benchmark.pedantic(spawns, iterations=1, rounds=1)
+    seconds = np.array([s for s, _ in runs])
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    peak_mb = float(np.median([mb for _, mb in runs]))
+
+    # One more spawn, untimed, lists the child's imports.
+    imports = tmp_path / "importtime.txt"
+    spawn_to_first_answer(model_path, python_flags=("-X", "importtime"), stderr_path=imports)
+    imported = {line.rsplit("|", 1)[1].strip() for line in imports.read_text().splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert "repro.serving.server" in imported, "importtime listing is empty"
+    assert not {"networkx", "repro.baselines"} & imported
+
+    reporting.record(
+        "serving", "serve_cold_start",
+        n=COLD_FIT_N, d=12, k=8, wall_seconds=float(median),
+        q1_seconds=float(q1), q3_seconds=float(q3), repeats=COLD_SPAWNS,
+        child_peak_rss_mb=peak_mb, steal_ticks=steal,
+        subject="spawn of 'repro serve MODEL' to the first answered handshake",
+    )
+    benchmark.extra_info["median_seconds"] = float(median)
+    benchmark.extra_info["child_peak_rss_mb"] = peak_mb

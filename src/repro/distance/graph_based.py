@@ -9,16 +9,24 @@ so that values that behave alike in the data are close even though they never
 match literally.  This module builds that value graph with ``networkx`` and
 produces per-feature value distance matrices in the same format as
 :func:`repro.distance.value_cooccurrence.cooccurrence_value_distances`.
+
+``networkx`` is imported inside the two functions that use it, not at module
+level: ``repro.distance`` and the baselines import this module, and a process
+that only loads, saves or serves an MCDC model should not pay for a graph
+library only ADC needs.  (The clusterer registry imports the baselines only
+when a lookup misses, see :mod:`repro.registry`.)
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import check_array_2d
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_value_graph(codes, n_categories: Optional[List[int]] = None) -> Tuple[nx.Graph, List[int]]:
@@ -35,6 +43,8 @@ def build_value_graph(codes, n_categories: Optional[List[int]] = None) -> Tuple[
     offsets:
         ``offsets[r]`` is the global node index of value 0 of feature ``r``.
     """
+    import networkx as nx
+
     codes = check_array_2d(codes, "codes", dtype=np.int64)
     n, d = codes.shape
     if n_categories is None:
@@ -69,6 +79,8 @@ def graph_value_distances(codes, n_categories: Optional[List[int]] = None) -> Li
     value graph.  Values that co-occur with the same values of other features
     therefore obtain a small distance.
     """
+    import networkx as nx
+
     codes = check_array_2d(codes, "codes", dtype=np.int64)
     n, d = codes.shape
     if n_categories is None:

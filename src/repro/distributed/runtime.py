@@ -54,12 +54,6 @@ _logger = get_logger(__name__)
 #: archives keep loading.
 RETIRED_BACKEND_OPTIONS = ("shard_cache", "heartbeat_interval", "rebalance")
 
-#: Constructor parameters the ``Sharded*`` estimators no longer take (the
-#: folded single-host process backend's multiprocessing context).  Saved
-#: models still carry them, always ``null``; ``load_model`` drops them with
-#: a warning (:mod:`repro.persistence`).
-RETIRED_PARAMETERS = ("mp_context",)
-
 
 # ---------------------------------------------------------------------- #
 # Sharded estimators

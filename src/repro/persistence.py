@@ -41,6 +41,12 @@ FORMAT_VERSION = 1
 PathLike = Union[str, Path]
 _NESTED_KEY = "__clusterer__"
 
+#: Constructor parameters the ``Sharded*`` estimators no longer take (the
+#: folded single-host process backend's multiprocessing context).  Saved
+#: models still carry them, always ``null``; loading drops them with a
+#: warning.
+RETIRED_PARAMETERS = ("mp_context",)
+
 _logger = get_logger(__name__)
 
 
@@ -92,8 +98,6 @@ def _decode_param(value: Any) -> Any:
 
 
 def _decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.distributed.runtime import RETIRED_PARAMETERS
-
     retired = sorted(set(params) & set(RETIRED_PARAMETERS))
     if retired:
         _logger.warning("ignoring retired parameter(s) %s", ", ".join(retired))

@@ -20,8 +20,10 @@ names (``"K-MODES"``, ``"MCDC+G."``) are registered as aliases of the
 canonical entries, and the sharded wrappers are registered under
 ``"<name>@sharded"`` (plus ``"<name>@tcp"`` presets that pin the multi-host
 backend).  Registration itself lives next to each class; this module lazily
-imports the implementation packages on first lookup, so ``import
-repro.registry`` stays cycle-free and cheap.
+imports the implementation packages on the first lookup of a name that is
+not registered yet (or the first listing), so ``import repro.registry``
+stays cycle-free and cheap, and ``make_clusterer("mcdc")`` or loading an
+MCDC model never imports the baselines or the sharded runtime.
 
 The *executor backend* registry behind the sharded wrappers' ``backend=``
 parameter follows the same pattern one layer down — see
@@ -149,10 +151,15 @@ def spec_for_instance(model: Any) -> ClustererSpec:
     ``"mcdc+gudmm"`` factory returns an :class:`~repro.core.mcdc.MCDC`, which
     resolves to ``"mcdc"`` and persists its ``final_clusterer`` as a nested
     parameter.
+
+    The classes registered so far are searched first: a model's class is
+    normally registered by the import that defined it, so saving one
+    populates the registry only when its class is not found there.
     """
-    for spec in _REGISTRY.specs():
-        if spec.cls is type(model):
-            return spec
+    for populate in (False, True):
+        for spec in _REGISTRY.specs(populate=populate):
+            if spec.cls is type(model):
+                return spec
     raise ValueError(
         f"{type(model).__name__} is not a registered clusterer class; "
         "register it with @register_clusterer to enable persistence"

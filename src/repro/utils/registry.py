@@ -4,11 +4,13 @@ The clusterer registry (:mod:`repro.registry`) and the executor-backend
 registry (:mod:`repro.distributed.transport`) grew the same machinery
 independently: normalised case/space-insensitive names, alias tables with
 conflict detection, idempotent re-registration of the same factory, and a
-lazy ``populate`` step that imports the defining modules on first lookup and
-*rolls back* on failure so a broken import surfaces on every attempt instead
-of leaving an empty registry behind.  :class:`NamedRegistry` is that
-machinery extracted once; each user keeps its own spec dataclass and public
-functions and delegates the bookkeeping here.
+lazy ``populate`` step that imports the defining modules on the first lookup
+that misses and *rolls back* on failure so a broken import surfaces on every
+attempt instead of leaving an empty registry behind.  A name whose module is
+already imported resolves without populating, so loading an MCDC model never
+imports the baselines (and their graph library) or the sharded runtime.
+:class:`NamedRegistry` is that machinery extracted once; each user keeps its
+own spec dataclass and public functions and delegates the bookkeeping here.
 
 Usage pattern::
 
@@ -42,8 +44,10 @@ class NamedRegistry:
         backend"``), so every user's errors keep naming their own domain.
     populate:
         Optional zero-argument callable that imports the modules carrying the
-        registration decorators.  It runs at most once, on first lookup; if
-        it raises, the registry rolls back to unpopulated so the next lookup
+        registration decorators.  It runs at most once: on the first
+        :meth:`resolve` of a name that is not registered yet, or on the first
+        listing (:meth:`names`, :meth:`specs`, ``in``, ``len``).  If it
+        raises, the registry rolls back to unpopulated so the next such lookup
         retries the imports and surfaces the real failure instead of an empty
         "Unknown ..." error.
     """
@@ -114,17 +118,28 @@ class NamedRegistry:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def resolve(self, name: str) -> str:
-        """Canonical registry key for ``name`` (exact, alias, or error)."""
-        self.ensure_populated()
-        key = self.normalize(name)
+    def _lookup(self, key: str) -> Optional[str]:
         if key in self._specs:
             return key
-        if key in self._aliases:
-            return self._aliases[key]
-        raise ValueError(
-            f"Unknown {self.kind} {name!r}; available: {', '.join(self.names())}"
-        )
+        return self._aliases.get(key)
+
+    def resolve(self, name: str) -> str:
+        """Canonical registry key for ``name`` (exact, alias, or error).
+
+        A name or alias that is already registered answers at once; only a
+        miss runs ``populate``, so a process imports no more of the defining
+        modules than the names it looks up need.
+        """
+        key = self.normalize(name)
+        found = self._lookup(key)
+        if found is None and not self._populated:
+            self.ensure_populated()
+            found = self._lookup(key)
+        if found is None:
+            raise ValueError(
+                f"Unknown {self.kind} {name!r}; available: {', '.join(self.names())}"
+            )
+        return found
 
     def get(self, name: str) -> Any:
         """The spec registered under ``name`` (or one of its aliases)."""
@@ -135,9 +150,14 @@ class NamedRegistry:
         self.ensure_populated()
         return sorted(self._specs)
 
-    def specs(self) -> List[Any]:
-        """All registered specs, sorted by canonical name."""
-        self.ensure_populated()
+    def specs(self, populate: bool = True) -> List[Any]:
+        """All registered specs, sorted by canonical name.
+
+        ``populate=False`` lists only what is registered so far, without
+        importing anything.
+        """
+        if populate:
+            self.ensure_populated()
         return [self._specs[name] for name in sorted(self._specs)]
 
     def __contains__(self, name: str) -> bool:

@@ -3,9 +3,10 @@
 The machinery shared by the clusterer registry (:mod:`repro.registry`) and
 the executor-backend registry (:mod:`repro.distributed.transport`) lives in
 :class:`repro.utils.registry.NamedRegistry`; this file tests the helper
-itself — normalisation, alias resolution, double-registration conflicts, and
-the population rollback that keeps a failed import loud on every lookup —
-and that both production registries actually run on it.
+itself — normalisation, alias resolution, double-registration conflicts,
+population on a lookup miss only, and the population rollback that keeps a
+failed import loud on every lookup — and that both production registries
+actually run on it.
 """
 
 from __future__ import annotations
@@ -125,6 +126,75 @@ class TestLazyPopulation:
     def test_registry_without_populate_is_ready_immediately(self):
         registry = make_registry()
         assert registry.names() == []
+
+
+class TestPopulateOnMiss:
+    """A lookup that hits imports nothing; only a miss runs ``populate``."""
+
+    @staticmethod
+    def counting_registry():
+        calls = []
+
+        def populate():
+            calls.append(1)
+            registry.register("late", spec="populated", aliases=("tardy",))
+
+        registry = make_registry(populate=populate)
+        registry.register("early", spec="eager", aliases=("prompt",))
+        return registry, calls
+
+    def test_hit_on_name_or_alias_does_not_populate(self):
+        registry, calls = self.counting_registry()
+        assert registry.resolve("early") == "early"
+        assert registry.resolve("PROMPT") == "early"
+        assert registry.get("prompt") == "eager"
+        assert calls == []
+
+    def test_miss_populates_once(self):
+        registry, calls = self.counting_registry()
+        assert registry.resolve("tardy") == "late"
+        assert registry.resolve("late") == "late"
+        assert calls == [1]
+
+    def test_unknown_name_lists_every_populated_name(self):
+        registry, calls = self.counting_registry()
+        with pytest.raises(ValueError, match="Unknown widget 'gamma'; available: early, late$"):
+            registry.resolve("gamma")
+        with pytest.raises(ValueError, match="available: early, late$"):
+            registry.resolve("gamma")
+        assert calls == [1]
+
+    def test_unpopulated_listing_imports_nothing(self):
+        registry, calls = self.counting_registry()
+        assert registry.specs(populate=False) == ["eager"]
+        assert calls == []
+        assert registry.specs() == ["eager", "populated"]
+        assert calls == [1]
+
+    def test_spec_for_instance_of_a_core_class_populates_nothing(self, monkeypatch):
+        import repro.registry as clusterers
+        from repro.core import MCDC
+
+        calls = []
+        monkeypatch.setattr(clusterers._REGISTRY, "_populate", lambda: calls.append(1))
+        monkeypatch.setattr(clusterers._REGISTRY, "_populated", False)
+        assert clusterers.spec_for_instance(MCDC(n_clusters=2)).name == "mcdc"
+        assert clusterers.resolve_name("MCDC") == "mcdc"
+        assert calls == []
+
+    def test_spec_for_instance_of_an_unlisted_class_populates(self, monkeypatch):
+        import repro.registry as clusterers
+        from repro.core import MCDC
+
+        class Unregistered(MCDC):
+            pass
+
+        calls = []
+        monkeypatch.setattr(clusterers._REGISTRY, "_populate", lambda: calls.append(1))
+        monkeypatch.setattr(clusterers._REGISTRY, "_populated", False)
+        with pytest.raises(ValueError, match="not a registered clusterer class"):
+            clusterers.spec_for_instance(Unregistered(n_clusters=2))
+        assert calls == [1]
 
 
 class TestProductionRegistriesUseTheHelper:
