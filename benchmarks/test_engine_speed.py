@@ -7,11 +7,6 @@ Measurements pinned into the ``BENCH_engine.json`` trajectory:
   :class:`~repro.engine.packed.PackedFrequencyEngine` must be at least 3x
   faster than the seed per-feature loop implementation
   (:class:`~repro.engine.reference.LoopEngine`).
-* ``test_compiled_sweep_speedup`` — the numba-compiled fused competitive
-  sweep (:class:`~repro.engine.compiled.CompiledEngine`) must be at least 2x
-  faster than the dense engine's numpy sweep path at the same scale.  Skipped
-  when numba is absent (the interpreted kernel fallback is a correctness
-  oracle, not a fast path).
 * ``test_fit_local_sweep_and_reassignment`` — record-only: one dense fused
   sweep (on the engine's block workers and on one) and one stranded-member
   reassignment at the repository benchmark's fit-local shape (n=50 000,
@@ -32,15 +27,12 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks import reporting
 from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
-from repro.core.sync import ShardWorker, SweepBroadcast
 from repro.data.generators import make_categorical_clusters
-from repro.engine import NUMBA_AVAILABLE, make_engine
+from repro.engine import make_engine
 from repro.engine import packed as packed_mod
-from repro.engine.compiled import warm_up_kernels
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
@@ -111,60 +103,6 @@ def test_similarity_matrix_throughput(benchmark):
         f"packed engine must be >= 3x faster than the seed loop implementation at "
         f"n={SIM_N}, d={SIM_D}, k={SIM_K}; got {speedup:.2f}x "
         f"(loop {loop_time:.3f}s vs packed {packed_time:.3f}s)"
-    )
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_compiled_sweep_speedup(benchmark):
-    """The compiled fused sweep must be >= 2x the dense engine's sweep at n=50k."""
-    ds, labels, omega = _sim_problem()
-    cats = list(ds.n_categories)
-    d = ds.n_features
-    warm_up_kernels()  # JIT compilation happens outside the timing
-
-    workers = {
-        kind: ShardWorker(ds.codes, cats, engine=kind)
-        for kind in ("dense", "compiled")
-    }
-
-    def one_sweep(kind):
-        state = workers[kind].begin_epoch(SIM_K, labels)
-        broadcast = SweepBroadcast(
-            state=state,
-            u=cluster_weight_from_delta(np.ones(SIM_K)),
-            rho=winning_ratio(np.zeros(SIM_K)),
-            omega=omega,
-            blocked=(state.sizes <= 0),
-        )
-        start = time.perf_counter()
-        workers[kind].sweep(broadcast)
-        return time.perf_counter() - start
-
-    one_sweep("dense"), one_sweep("compiled")  # warm caches outside the timing
-    dense_time = min(one_sweep("dense") for _ in range(3))
-    compiled_time = min(one_sweep("compiled") for _ in range(3))
-    speedup = dense_time / compiled_time
-
-    benchmark.pedantic(lambda: one_sweep("compiled"), iterations=1, rounds=1)
-    benchmark.extra_info["dense_seconds"] = dense_time
-    benchmark.extra_info["compiled_seconds"] = compiled_time
-    benchmark.extra_info["speedup"] = speedup
-    reporting.record(
-        "engine",
-        "compiled_sweep_vs_dense",
-        n=SIM_N,
-        d=SIM_D,
-        k=SIM_K,
-        wall_seconds=compiled_time,
-        throughput=SIM_N / compiled_time,
-        speedup=speedup,
-        baseline="dense",
-        baseline_seconds=dense_time,
-    )
-    assert speedup >= 2.0, (
-        f"compiled sweep must be >= 2x faster than the dense engine's sweep at "
-        f"n={SIM_N}, d={SIM_D}, k={SIM_K}; got {speedup:.2f}x "
-        f"(dense {dense_time:.3f}s vs compiled {compiled_time:.3f}s)"
     )
 
 

@@ -16,8 +16,8 @@ Public API highlights
   ``clone``, and ``save`` / :func:`repro.load_model` persistence through
   ``EngineState`` snapshots (:mod:`repro.persistence`).
 * :mod:`repro.engine` — the packed similarity engine every layer runs on
-  (the ``dense`` vectorised backend, ``compiled`` numba kernels and the
-  ``loop`` reference).
+  (``"auto"``/``"dense"``, the vectorised backend, and ``"loop"``, the
+  reference; ``"chunked"`` and ``"compiled"`` are aliases of ``"dense"``).
 * :mod:`repro.baselines` — k-modes, ROCK, WOCIL, GUDMM, FKMAWCW, ADC.
 * :mod:`repro.data` — data set container, generators and the UCI benchmarks.
 * :mod:`repro.metrics` — ACC, ARI, AMI, FM validity indices.

@@ -50,8 +50,9 @@ class WOCIL(BaseClusterer):
     max_iter:
         Maximum number of assignment sweeps.
     engine:
-        Frequency-table backend (``"auto"``, ``"dense"``, ``"compiled"`` or
-        ``"loop"``); see :mod:`repro.engine`.
+        Frequency-table backend (``"auto"``, ``"dense"`` or ``"loop"``;
+        ``"chunked"`` and ``"compiled"`` are aliases of ``"dense"``); see
+        :mod:`repro.engine`.
     random_state:
         Seed or generator (only used to break ties in seeding).
     """

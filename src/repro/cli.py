@@ -16,7 +16,7 @@ Three families of commands:
   micro-batching (``--batch-rows``/``--batch-delay-ms``), periodic and
   ingest-count-triggered atomic snapshots back to disk, a write-ahead
   ingest log (``--wal``/``--wal-sync``) that makes every acked ingest
-  survive a crash between snapshots (replayed exactly at restart), kernel
+  survive a crash between snapshots (replayed exactly at restart), cache
   warm-up before the first connection (``--no-warmup`` to skip), and read
   replicas that sync exactly from a primary (``--replica-of``).  ``repro route``
   fronts a primary + replicas behind one address, round-robining predicts.
@@ -196,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-warmup", action="store_true",
-        help="skip pre-compiling kernels and pre-warming the assignment "
-        "cache before accepting connections",
+        help="skip pre-warming the assignment cache before accepting connections",
     )
     serve.add_argument(
         "--once", action="store_true",
@@ -571,7 +570,7 @@ def _predict(args: argparse.Namespace) -> int:
 
 def _methods(_: argparse.Namespace) -> int:
     from repro.distributed.transport import backend_specs
-    from repro.engine import ENGINE_ALIASES, ENGINES, NUMBA_AVAILABLE, resolve_engine_kind
+    from repro.engine import ENGINE_ALIASES, ENGINES, resolve_engine_kind
     from repro.registry import registered_specs
 
     for spec in registered_specs():
@@ -591,8 +590,6 @@ def _methods(_: argparse.Namespace) -> int:
         aliases = [alias for alias, target in ENGINE_ALIASES.items() if target == name]
         aliases = f"  (aliases: {', '.join(aliases)})" if aliases else ""
         print(f"{name:<16} {doc[0] if doc else ''}{marker}{aliases}")
-    numba_note = "available" if NUMBA_AVAILABLE else "not installed (compiled runs interpreted)"
-    print(f"numba: {numba_note}")
     return 0
 
 
@@ -640,9 +637,9 @@ def _serve(args: argparse.Namespace) -> int:
             print(f"wal replay: recovered {server.wal_replayed_batches} "
                   f"acked ingest batches ({server.wal_replayed_objects} rows)")
     if not args.no_warmup:
-        # Pre-pay JIT and cache latency before the first client connects.
-        numba = server.warm_up()
-        print(f"warm-up done (numba {'compiled' if numba else 'not available'})")
+        # Pre-pay the assignment cache before the first client connects.
+        server.warm_up()
+        print("warm-up done")
     # The resolved address (port 0 -> ephemeral) goes out last and flushed,
     # so launchers can scrape it and point their clients at it.
     print(f"repro serve listening on {server.address}", flush=True)

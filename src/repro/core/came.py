@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.assignment import AssignmentModel
 from repro.core.base import ArrayOrDataset, BaseClusterer, coerce_codes, compact_labels
 from repro.core.sync import InProcessShardExecutor
-from repro.engine import ENGINES, EngineState, resolve_engine_kind, state_from_labels
+from repro.engine import EngineState, resolve_engine_kind, state_from_labels
 from repro.registry import register_clusterer
 from repro.utils.rng import RandomState, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -147,9 +147,9 @@ class CAME(BaseClusterer):
         Maximum number of alternating iterations per restart.
     engine:
         Frequency-table backend used for the mode/assignment steps:
-        ``"auto"`` (default: ``"compiled"`` when numba is importable,
-        otherwise ``"dense"``), ``"dense"``, ``"compiled"`` or ``"loop"``.
-        ``"dense"`` bounds its memory by itself above 2**26 one-hot cells.
+        ``"auto"`` (default), ``"dense"`` or ``"loop"``; ``"auto"``,
+        ``"chunked"`` and ``"compiled"`` are aliases of ``"dense"``, which
+        bounds its memory by itself above 2**26 one-hot cells.
     random_state:
         Seed or generator for mode initialisation.
 
@@ -178,10 +178,7 @@ class CAME(BaseClusterer):
         self.weighted = bool(weighted)
         self.n_init = check_positive_int(n_init, "n_init")
         self.max_iter = check_positive_int(max_iter, "max_iter")
-        if resolve_engine_kind(engine, 0, 0) not in ENGINES:
-            raise ValueError(
-                f"engine must be 'auto' or one of {sorted(ENGINES)}, got {engine!r}"
-            )
+        resolve_engine_kind(engine, 0, 0)  # raises on an unknown name
         self.engine = engine
         self.random_state = random_state
 

@@ -47,8 +47,9 @@ class CompetitiveLearningClusterer(BaseClusterer):
     prune_empty:
         Whether clusters that lose all their objects are removed.
     engine:
-        Frequency-table backend (``"auto"``, ``"dense"``, ``"compiled"`` or
-        ``"loop"``); see :mod:`repro.engine`.
+        Frequency-table backend (``"auto"``, ``"dense"`` or ``"loop"``;
+        ``"chunked"`` and ``"compiled"`` are aliases of ``"dense"``); see
+        :mod:`repro.engine`.
     random_state:
         Seed or generator controlling seed-object selection.
     """

@@ -131,10 +131,9 @@ class MCDC(BaseClusterer):
         MGCPL execution engine (``"batch"`` or ``"online"``).
     engine:
         Frequency-table backend shared by MGCPL and CAME: ``"auto"``
-        (default: ``"compiled"`` when numba is importable, otherwise
-        ``"dense"``), ``"dense"``, ``"compiled"`` or ``"loop"``; ``"dense"``
-        bounds its memory by itself above 2**26 one-hot cells.  See
-        :mod:`repro.engine`.
+        (default), ``"dense"`` or ``"loop"``; ``"auto"``, ``"chunked"`` and
+        ``"compiled"`` are aliases of ``"dense"``, which bounds its memory
+        by itself above 2**26 one-hot cells.  See :mod:`repro.engine`.
     random_state:
         Seed or generator.
 

@@ -155,10 +155,10 @@ def mgcpl_sweep_local(
     moved, recounted (``rebuild``).  The counts are integer-valued floats,
     so either way they equal a full recount.
 
-    Every packed engine exposes ``competitive_sweep``: the dense backend
-    runs it as one cache-blocked NumPy pass that never holds an ``(n, k)``
-    array (:mod:`repro.engine.packed`), the compiled backend as fused
-    kernels (:mod:`repro.engine.compiled`).  The NumPy
+    The dense engine (``"auto"``, ``"dense"``, and the ``"chunked"`` and
+    ``"compiled"`` aliases) exposes ``competitive_sweep``: one cache-blocked
+    NumPy pass that never holds an ``(n, k)`` array
+    (:mod:`repro.engine.packed`).  The NumPy
     branch below — the whole similarity matrix through the same selection
     and statistics helpers — is the
     :class:`~repro.engine.reference.LoopEngine` reference path.  All paths

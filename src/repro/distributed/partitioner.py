@@ -51,8 +51,9 @@ class MultiGranularPartitioner:
         Maximum allowed ratio between the largest partition and the ideal
         size before over-sized micro-clusters are split.
     engine:
-        Frequency-table backend handed to MGCPL (``"auto"``, ``"dense"``,
-        ``"compiled"`` or ``"loop"``).  Pre-partitioning targets large data
+        Frequency-table backend handed to MGCPL (``"auto"``, ``"dense"`` or
+        ``"loop"``; ``"chunked"`` and ``"compiled"`` are aliases of
+        ``"dense"``).  Pre-partitioning targets large data
         sets; the dense engine stops caching its one-hot above 2**26 cells,
         so its memory stays bounded; see :mod:`repro.engine`.
     random_state:

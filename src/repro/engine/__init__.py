@@ -11,53 +11,59 @@ distributed pre-partitioner — evaluates the paper's object-cluster similarity
   :data:`~repro.engine.packed.ONEHOT_MAX_CELLS` (2**26) cells and encoded one
   row block at a time above that, so memory stays bounded at any ``n``
   (Fig. 6 scale and beyond) with the same bits.
-* :class:`CompiledEngine` — numba-compiled fused sweep kernels over the
-  packed counts, bit-faithful to the loop reference; auto-selected when
-  numba is importable (:data:`NUMBA_AVAILABLE`), interpreted otherwise.
 * :class:`LoopEngine` — the seed per-feature loop implementation, kept as the
   numerical reference for property tests and benchmarks.
 
-Use :func:`make_engine` to construct a backend by name; ``"auto"`` picks the
-compiled backend when numba is present, else dense.
+Use :func:`make_engine` to construct a backend by name: ``"auto"``
+(the default), ``"dense"`` or ``"loop"``.  ``"chunked"`` and ``"compiled"``,
+separate engines once, are aliases of ``"dense"``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.engine import compiled as _compiled
 from repro.engine.base import FrequencyEngine
-from repro.engine.compiled import NUMBA_AVAILABLE, CompiledEngine
 from repro.engine.packed import OneHotCache, PackedFrequencyEngine
 from repro.engine.reference import LoopEngine
 from repro.engine.state import EngineState, state_from_labels
 
+#: Whether numba is installed: a host fact perfbench records (nothing imports it).
+NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
+
 ENGINES = {
     "dense": PackedFrequencyEngine,
-    "compiled": CompiledEngine,
     "loop": LoopEngine,
 }
 
-#: Other accepted names of an engine kind.  ``"chunked"`` named a separate
-#: streaming engine once, and saved models' parameters still carry it.
-ENGINE_ALIASES = {"chunked": "dense"}
+#: Other accepted names of an engine kind.  ``"chunked"`` and ``"compiled"``
+#: named separate engines once, and saved models' parameters still carry them.
+ENGINE_ALIASES = {"auto": "dense", "chunked": "dense", "compiled": "dense"}
 
 
 def resolve_engine_kind(kind: str, n_objects: int, n_values: int) -> str:
     """Resolve ``"auto"`` or an alias to a concrete backend name.
 
-    With numba importable, ``"auto"`` picks the compiled backend (its fused
-    kernels beat the BLAS-over-one-hot path), else ``"dense"``.  The flag is
-    read from :mod:`repro.engine.compiled` at call time so tests can patch
-    it.  The problem size does not matter: the dense engine bounds its own
-    memory (:data:`~repro.engine.packed.ONEHOT_MAX_CELLS`).
+    Every engine-name check goes through here.  The problem size does not
+    matter: the dense engine bounds its own memory
+    (:data:`~repro.engine.packed.ONEHOT_MAX_CELLS`).
+
+    Raises
+    ------
+    ValueError
+        If ``kind`` names neither an engine nor an alias.
     """
-    kind = ENGINE_ALIASES.get(kind, kind)
-    if kind != "auto":
-        return kind
-    return "compiled" if _compiled.NUMBA_AVAILABLE else "dense"
+    if isinstance(kind, str):
+        resolved = ENGINE_ALIASES.get(kind, kind)
+        if resolved in ENGINES:
+            return resolved
+    raise ValueError(
+        f"Unknown engine kind {kind!r}; expected one of {sorted(ENGINES)} "
+        f"or an alias {sorted(ENGINE_ALIASES)}"
+    )
 
 
 def make_engine(
@@ -79,8 +85,8 @@ def make_engine(
     n_clusters:
         Number of cluster slots.
     kind:
-        ``"auto"`` (default), ``"dense"``, ``"compiled"`` or ``"loop"``
-        (``"chunked"`` is an alias of ``"dense"``).
+        ``"auto"`` (default), ``"dense"`` or ``"loop"`` (``"auto"``,
+        ``"chunked"`` and ``"compiled"`` are aliases of ``"dense"``).
     labels:
         Optional initial assignment; when given the engine is rebuilt from it.
     kwargs:
@@ -89,13 +95,7 @@ def make_engine(
         every backend).
     """
     codes = np.asarray(codes, dtype=np.int64)
-    resolved = resolve_engine_kind(kind, codes.shape[0], int(sum(n_categories)))
-    try:
-        engine_cls = ENGINES[resolved]
-    except KeyError:
-        raise ValueError(
-            f"Unknown engine kind {kind!r}; expected 'auto' or one of {sorted(ENGINES)}"
-        ) from None
+    engine_cls = ENGINES[resolve_engine_kind(kind, codes.shape[0], int(sum(n_categories)))]
     if not issubclass(engine_cls, PackedFrequencyEngine):
         kwargs = {k: v for k, v in kwargs.items() if k != "onehot_cache"}
     engine = engine_cls(codes, n_categories, n_clusters, **kwargs)
@@ -109,7 +109,6 @@ __all__ = [
     "state_from_labels",
     "FrequencyEngine",
     "PackedFrequencyEngine",
-    "CompiledEngine",
     "LoopEngine",
     "OneHotCache",
     "NUMBA_AVAILABLE",

@@ -18,12 +18,12 @@ paper (Eqs. 1-2 and 14) and exposes the same operations:
   mode assignment step (Eq. 20).
 
 Concrete backends live in :mod:`repro.engine.packed` (the vectorised
-``PackedFrequencyEngine``, whose one-hot is cached up to 2**26 cells and
-encoded per row block above that, so its memory stays bounded),
-:mod:`repro.engine.compiled` (numba kernels over the same layout) and
-:mod:`repro.engine.reference` (the per-feature loop implementation kept as a
-numerical reference).  ``hamming_distances`` is shared by all but the
-compiled backend.  New backends (sparse, numba, multi-process) only need
+``PackedFrequencyEngine``, the ``"dense"`` engine that ``"auto"``,
+``"chunked"`` and ``"compiled"`` alias; its one-hot is cached up to 2**26
+cells and encoded per row block above that, so its memory stays bounded)
+and :mod:`repro.engine.reference` (``"loop"``, the per-feature loop
+implementation kept as a numerical reference).  ``hamming_distances`` is
+shared by both.  New backends (sparse, multi-process) only need
 to implement this protocol to become drop-in replacements for every consumer:
 MGCPL, CAME, the competitive-learning baseline, WOCIL and the distributed
 pre-partitioner.

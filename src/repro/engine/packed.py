@@ -273,8 +273,8 @@ class OneHotCache:
 class PackedFrequencyEngine(FrequencyEngine):
     """Packed counts, BLAS similarity kernels and MGCPL's blocked sweep.
 
-    The ``dense`` engine, and the layout :class:`~repro.engine.compiled.
-    CompiledEngine` builds on.  The one-hot of the engine's own codes is
+    The ``dense`` engine (``"auto"``, ``"chunked"`` and ``"compiled"`` are
+    aliases of it).  The one-hot of the engine's own codes is
     cached while it has at most :data:`ONEHOT_MAX_CELLS` cells and encoded
     one row block at a time above that (module docstring); the results are
     bit-identical either way, and to
@@ -800,34 +800,23 @@ class PackedFrequencyEngine(FrequencyEngine):
             return nearest
         blocks, workers = self._row_blocks(rows.size)
         size = max(stop - start for start, stop in blocks)
-        encode, score = self._block_scorer(feature_weights)
+        column_weights = self._column_weights(feature_weights)
 
         def reassign(todo) -> None:
             buffer = np.empty((size, self.n_clusters), dtype=np.float64)
-            for lo, hi, encoded in todo:
-                sims = score(encoded, buffer[: hi - lo])
+            for lo, hi, onehot in todo:
+                sims = self._similarity_block(onehot, column_weights, out=buffer[: hi - lo])
                 sims[:, disallowed] = -np.inf
                 nearest[lo:hi] = sims.argmax(axis=1)
 
         with one_blas_thread():
             for i in range(0, len(blocks), workers):
                 wave = [
-                    (lo, hi, encode(self._packed_codes[rows[lo:hi]]))
+                    (lo, hi, self._one_hot(self._packed_codes[rows[lo:hi]]))
                     for lo, hi in blocks[i : i + workers]
                 ]
                 run_in_threads(partial(reassign, iter(wave)), workers)
         return nearest
-
-    def _block_scorer(self, feature_weights: Optional[np.ndarray]):
-        """``(encode, score)`` of blocked scoring.
-
-        ``score(encode(packed_codes), out)`` writes a block's similarities
-        into ``out``; ``encode`` runs on the calling thread.
-        """
-        column_weights = self._column_weights(feature_weights)
-        return self._one_hot, lambda onehot, out: self._similarity_block(
-            onehot, column_weights, out=out
-        )
 
     # ------------------------------------------------------------------ #
     # Feature-cluster weighting (Eqs. 15-18)

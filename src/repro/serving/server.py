@@ -761,21 +761,16 @@ class ModelServer(ThreadedFrameServer):
         self._ingests_since_snapshot += applied
         return wal
 
-    def warm_up(self) -> bool:
-        """Pre-pay every first-request cost: JIT kernels + assignment cache.
+    def warm_up(self) -> None:
+        """Pre-pay the first request's cost: the lazily built assignment cache.
 
-        Compiles the numba kernels (no-op without numba) and pushes one probe
-        row through the full predict path, so the first client request never
-        pays JIT or lazy-cache latency.  Returns whether numba is available.
+        Pushes one probe row through the full predict path, so the first
+        client request never pays the cache build.
         """
-        from repro.engine.compiled import warm_up_kernels
-
-        available = warm_up_kernels()
         assignment = self.model.assignment_model_
         if assignment is not None:
             with self._lock.read():
                 self.model.predict(assignment.modes[:1])
-        return available
 
     def serve_forever(self) -> None:
         if self.max_batch_rows:

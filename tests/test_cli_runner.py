@@ -284,11 +284,14 @@ class TestServingCLI:
         assert names == ["serial", "tcp"]
         serial = next(line for line in backends.splitlines() if line.startswith("serial"))
         assert "shm" in serial and "process" in serial
-        # "chunked" is listed as an alias of the dense engine, not as an engine
+        # the folded engines are listed as aliases of dense, not as engines
         engines = out.split("frequency engines")[1].splitlines()
-        assert not any(line.startswith("chunked") for line in engines)
+        names = [line.split()[0] for line in engines[1:] if line.strip()]
+        assert names == ["dense", "loop"]
         dense = next(line for line in engines if line.startswith("dense"))
-        assert "(aliases: chunked)" in dense
+        assert "(aliases: auto, chunked, compiled)" in dense
+        assert "[auto default]" in dense
+        assert "numba" not in out
 
     def test_fit_then_predict_uci(self, tmp_path, capsys):
         model_path = tmp_path / "vot.npz"

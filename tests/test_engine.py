@@ -1,6 +1,6 @@
 """Property tests for the packed similarity engine.
 
-Two invariants protect every consumer of :mod:`repro.engine`:
+These invariants protect every consumer of :mod:`repro.engine`:
 
 * **Incremental == rebuild** — any sequence of ``add`` / ``remove`` /
   ``move`` / ``*_many`` updates leaves the packed counts bit-identical to a
@@ -8,9 +8,10 @@ Two invariants protect every consumer of :mod:`repro.engine`:
 * **Packed == reference** — the vectorised backends reproduce the numerics
   of the original per-feature loop implementation (kept as
   :class:`repro.engine.reference.LoopEngine`) for similarities (plain,
-  weighted, leave-one-out), the Eqs. 15-18 weight statistics, modes and
-  weighted Hamming distances — on random data with missing values and on the
-  seed UCI benchmark data sets.
+  weighted, leave-one-out), the Eqs. 15-18 weight statistics, modes,
+  weighted Hamming distances, the nearest allowed cluster of a row subset
+  and whole batch-mode MGCPL fits — on random data with missing values and
+  on the seed UCI benchmark data sets.
 * **Blocked sweep == whole-matrix sweep** — the cache-blocked
   ``competitive_sweep`` returns bit-identical shard updates to the NumPy
   reference path over the whole similarity matrix, for every block layout,
@@ -26,6 +27,9 @@ Two invariants protect every consumer of :mod:`repro.engine`:
 * **Block workers == one worker** — the fused sweep, ``rebuild`` and the
   Hamming distances return the same bytes on 1, 2 and 3 block workers, and
   so do whole MCDC fits on the UCI analogues.
+* **One-hot cache** — engines over the same codes array and vocabulary
+  share one encoding (:class:`~repro.engine.packed.OneHotCache`); a copy,
+  an evicted entry or the loop engine re-encode or ignore it.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.compiled as compiled_mod
 import repro.engine.packed as packed_mod
+from repro.core.came import CAME
 from repro.core.mcdc import MCDC
 from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
 from repro.core.sync import (
@@ -47,13 +51,20 @@ from repro.core.sync import (
     contiguous_shards,
     mgcpl_sweep_local,
 )
+from repro.data.dataset import CategoricalDataset
 from repro.data.uci.registry import available_datasets, load_dataset
-from repro.engine import LoopEngine, PackedFrequencyEngine, make_engine, resolve_engine_kind
+from repro.engine import (
+    LoopEngine,
+    OneHotCache,
+    PackedFrequencyEngine,
+    make_engine,
+    resolve_engine_kind,
+)
 from repro.utils.blas import blas_threads
 
 #: The dense engine with its one-hot cap at 0 cells: every block is encoded afresh.
 STREAMED = "streamed"
-PACKED_KINDS = ["dense", STREAMED, "compiled"]
+PACKED_KINDS = ["dense", STREAMED]
 
 
 def packed_engine(codes, cats, k, kind, **kwargs):
@@ -216,6 +227,34 @@ class TestPackedMatchesReference:
         )
         assert np.array_equal(engine.hamming_distances(refs), reference.hamming_distances(refs))
 
+    @pytest.mark.parametrize("kind", PACKED_KINDS)
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_nearest_clusters_match(self, kind, seed):
+        """Blocked reassignment of some rows == the loop's masked whole matrix."""
+        codes, cats, labels, rng = random_problem(seed, n=80, d=6, k=5)
+        engine, reference = build_pair(kind, codes, cats, 5, labels)
+        omega = rng.random((codes.shape[1], 5))
+        rows = np.flatnonzero(rng.random(codes.shape[0]) < 0.5)
+        allowed = np.array([True, False, True, True, False])
+        for fw in (None, omega):
+            assert np.array_equal(
+                engine.nearest_clusters(rows, allowed, fw),
+                reference.nearest_clusters(rows, allowed, fw),
+            )
+
+    @pytest.mark.parametrize("kind", PACKED_KINDS)
+    def test_full_mgcpl_fit_matches_loop_oracle(self, monkeypatch, kind):
+        """A whole batch-mode MGCPL fit walks the loop oracle's partitions."""
+        codes, cats, _, _ = random_problem(7, n=140, d=6, missing=0.1)
+        ds = CategoricalDataset.from_codes(codes, n_categories=cats)
+        loop = MGCPL(k0=6, random_state=3, engine="loop", max_epochs=4).fit(ds)
+        if kind == STREAMED:
+            monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 0)
+        packed = MGCPL(k0=6, random_state=3, engine="dense", max_epochs=4).fit(ds)
+        assert packed.kappa_ == loop.kappa_
+        assert np.array_equal(packed.labels_, loop.labels_)
+        assert np.array_equal(packed.encoding_, loop.encoding_)
+
 
 @pytest.mark.parametrize("abbrev", ["Car", "Con", "Vot", "Bal"])
 @pytest.mark.parametrize("kind", PACKED_KINDS)
@@ -249,24 +288,36 @@ def test_parity_on_seed_uci_datasets(abbrev, kind):
 
 
 class TestBackendSelection:
-    def test_auto_resolves_to_dense_at_any_size(self, monkeypatch):
-        monkeypatch.setattr(compiled_mod, "NUMBA_AVAILABLE", False)
+    def test_auto_resolves_to_dense_at_any_size(self):
         cap = packed_mod.ONEHOT_MAX_CELLS
         assert resolve_engine_kind("auto", 100, 50) == "dense"
         assert resolve_engine_kind("auto", cap, 2) == "dense"
         assert resolve_engine_kind("chunked", cap, 2) == "dense"
+        assert resolve_engine_kind("compiled", cap, 2) == "dense"
+        assert resolve_engine_kind("loop", cap, 2) == "loop"
 
     def test_make_engine_kinds(self):
         codes, cats, labels, _ = random_problem(3)
         assert type(make_engine(codes, cats, 4, kind="dense")) is PackedFrequencyEngine
-        # "chunked" is an alias: saved models' params still carry it.
-        assert type(make_engine(codes, cats, 4, kind="chunked")) is PackedFrequencyEngine
+        # "chunked" and "compiled" are aliases: saved models' params still carry them.
+        for alias in ("auto", "chunked", "compiled"):
+            assert type(make_engine(codes, cats, 4, kind=alias)) is PackedFrequencyEngine
         assert isinstance(make_engine(codes, cats, 4, kind="loop"), LoopEngine)
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["gpu", ["dense"], None, "Dense"], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda codes, cats, kind: make_engine(codes, cats, 4, kind=kind),
+            lambda codes, cats, kind: MGCPL(engine=kind),
+            lambda codes, cats, kind: CAME(n_clusters=2, engine=kind),
+        ],
+        ids=["make_engine", "MGCPL", "CAME"],
+    )
+    def test_unknown_kind_rejected(self, build, kind):
         codes, cats, _, _ = random_problem(4)
         with pytest.raises(ValueError, match="engine kind"):
-            make_engine(codes, cats, 4, kind="gpu")
+            build(codes, cats, kind)
 
     def test_vocabulary_violation_rejected(self):
         codes = np.array([[0, 3]])
@@ -311,6 +362,70 @@ class TestBackendSelection:
             mgcpl_sweep_local(streamed, labels, broadcast, broadcast.state),
             mgcpl_sweep_local(cached, labels, broadcast, broadcast.state),
         )
+
+
+class TestOneHotCache:
+    def test_hit_requires_same_array_and_vocab(self):
+        cache = OneHotCache()
+        codes, cats, labels, _ = random_problem(0)
+        a = make_engine(codes, cats, 5, kind="dense", labels=labels, onehot_cache=cache)
+        a.similarity_matrix()
+        assert cache.misses == 1
+        b = make_engine(codes, cats, 5, kind="dense", labels=labels, onehot_cache=cache)
+        b.similarity_matrix()
+        assert (cache.hits, cache.misses) == (1, 1)
+        # A copy is a different array: identity keying must not hit.
+        c = make_engine(
+            codes.copy(), cats, 5, kind="dense", labels=labels, onehot_cache=cache
+        )
+        c.similarity_matrix()
+        assert cache.misses == 2
+
+    def test_capacity_eviction(self):
+        cache = OneHotCache(capacity=1)
+        codes_a, cats, labels, _ = random_problem(1)
+        codes_b = codes_a.copy()
+        for arr in (codes_a, codes_b, codes_a):
+            engine = make_engine(arr, cats, 5, kind="dense", labels=labels, onehot_cache=cache)
+            engine.similarity_matrix()
+        # FIFO capacity 1: codes_a was evicted by codes_b, so the third
+        # build misses again.
+        assert cache.misses == 3 and cache.hits == 0
+
+    def test_cached_encoding_is_equivalent(self):
+        cache = OneHotCache()
+        codes, cats, labels, rng = random_problem(2)
+        omega = rng.random((codes.shape[1], 5))
+        first = make_engine(codes, cats, 5, kind="dense", labels=labels, onehot_cache=cache)
+        uncached = make_engine(codes, cats, 5, kind="dense", labels=labels)
+        assert np.array_equal(
+            first.similarity_matrix(feature_weights=omega),
+            uncached.similarity_matrix(feature_weights=omega),
+        )
+        second = make_engine(codes, cats, 5, kind="dense", labels=labels, onehot_cache=cache)
+        assert np.array_equal(
+            second.similarity_matrix(feature_weights=omega),
+            uncached.similarity_matrix(feature_weights=omega),
+        )
+        assert cache.hits >= 1
+
+    def test_loop_engine_ignores_cache_kwarg(self):
+        codes, cats, labels, _ = random_problem(3)
+        engine = make_engine(codes, cats, 5, kind="loop", labels=labels, onehot_cache=OneHotCache())
+        assert isinstance(engine, LoopEngine)
+
+    def test_dataset_cache_reused_across_fits(self):
+        codes, cats, _, _ = random_problem(4, n=120)
+        ds = CategoricalDataset.from_codes(codes, n_categories=cats)
+        cache = ds.onehot_cache()
+        assert ds.onehot_cache() is cache
+        MGCPL(k0=5, random_state=1, engine="dense", max_epochs=3).fit(ds)
+        hits1, misses1 = cache.hits, cache.misses
+        assert misses1 >= 1
+        MGCPL(k0=5, random_state=2, engine="dense", max_epochs=3).fit(ds)
+        # The restart re-encodes nothing: same misses, strictly more hits.
+        assert cache.misses == misses1
+        assert cache.hits > hits1
 
 
 class _NumPyPath:
@@ -446,13 +561,21 @@ class TestBlockedSweep:
 
 
     @pytest.mark.parametrize("kind", ["dense", STREAMED])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_loop_oracle_at_twelve_features(self, monkeypatch, kind, weighted):
+    @pytest.mark.parametrize(
+        "weighted, all_blocked",
+        [(False, False), (True, False), (False, True)],
+        ids=["False", "True", "all-blocked"],
+    )
+    def test_matches_loop_oracle_at_twelve_features(
+        self, monkeypatch, kind, weighted, all_blocked
+    ):
         """At d=12 the own-cluster similarity adds its features in loop order.
 
         The labels come from two loop-engine sweeps, so most objects' own
         cluster wins and its leave-one-out similarity reaches the
         statistics.  A pairwise row sum differs from the oracle here.
+        ``all-blocked`` blocks every cluster in the compared sweep, with
+        no feature weights.
         """
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         cats, k = SWEEP_CATS * 2, 19
@@ -464,6 +587,8 @@ class TestBlockedSweep:
             update = mgcpl_sweep_local(loop, labels, broadcast, broadcast.state)
             labels, broadcast.state = update.labels, update.state
         assert len(packed_mod.sweep_blocks(n, k, sum(cats))) == 3
+        if all_blocked:
+            broadcast.blocked = np.ones(k, dtype=bool)
         assert_updates_identical(
             mgcpl_sweep_local(
                 packed_engine(codes, cats, k, kind), labels, broadcast, broadcast.state
@@ -553,18 +678,14 @@ class TestBlockedReassignment:
         omega = np.random.default_rng(k).random((len(SWEEP_CATS), k))
         engine = packed_engine(codes, SWEEP_CATS, k, kind, labels=labels)
         whole = engine.similarity_matrix(feature_weights=omega)
-        scorer, scored = engine._block_scorer, []
+        similarity_block, scored = engine._similarity_block, []
 
-        def recording_scorer(feature_weights):
-            encode, score = scorer(feature_weights)
+        def recorded(*args, **kwargs):
+            sims = similarity_block(*args, **kwargs)
+            scored.append(sims.copy())
+            return sims
 
-            def recorded(encoded, out):
-                scored.append(score(encoded, out).copy())
-                return out
-
-            return encode, recorded
-
-        monkeypatch.setattr(engine, "_block_scorer", recording_scorer)
+        monkeypatch.setattr(engine, "_similarity_block", recorded)
         rows = np.flatnonzero(labels < 0)
         engine.nearest_clusters(rows, np.ones(k, dtype=bool), omega)
         assert len(scored) == 1

@@ -171,6 +171,40 @@ class TestChunkedEngineAlias:
         np.testing.assert_array_equal(loaded.labels_, model.labels_)
 
 
+class TestCompiledEngineAlias:
+    """Every engine alias — ``"compiled"``, the numba engine once, ``"auto"``
+    and ``"chunked"`` — fits, saves and loads as dense."""
+
+    @pytest.mark.parametrize("alias", ["compiled", "auto", "chunked"])
+    @pytest.mark.parametrize("cls", [MCDC, MGCPL], ids=["MCDC", "MGCPL"])
+    def test_compiled_fits_as_dense(self, cls, alias, train_dataset):
+        params = {"n_clusters": 3} if cls is MCDC else {}
+        model = cls(engine=alias, random_state=0, **params).fit(train_dataset)
+        dense = cls(engine="dense", random_state=0, **params).fit(train_dataset)
+        np.testing.assert_array_equal(model.labels_, dense.labels_)
+        assert list(model.kappa_) == list(dense.kappa_)
+        np.testing.assert_array_equal(model.encoding_, dense.encoding_)
+
+    @pytest.mark.parametrize("alias", ["compiled", "auto", "chunked"])
+    def test_came_alias_fits_as_dense(self, alias, train_dataset):
+        model = CAME(n_clusters=3, engine=alias, random_state=0).fit(train_dataset)
+        dense = CAME(n_clusters=3, engine="dense", random_state=0).fit(train_dataset)
+        np.testing.assert_array_equal(model.labels_, dense.labels_)
+        np.testing.assert_array_equal(model.modes_, dense.modes_)
+        np.testing.assert_array_equal(model.feature_weights_, dense.feature_weights_)
+
+    @pytest.mark.parametrize("alias", ["compiled", "auto", "chunked"])
+    def test_compiled_model_round_trips(self, alias, train_dataset, heldout_codes, tmp_path):
+        model = MCDC(n_clusters=3, engine=alias, random_state=0).fit(train_dataset)
+        dense = MCDC(n_clusters=3, engine="dense", random_state=0).fit(train_dataset)
+        path = tmp_path / f"{alias}.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.get_params()["engine"] == alias
+        np.testing.assert_array_equal(loaded.predict(heldout_codes), model.predict(heldout_codes))
+        np.testing.assert_array_equal(loaded.predict(heldout_codes), dense.predict(heldout_codes))
+
+
 class TestPredictSemantics:
     def test_unseen_codes_treated_as_missing(self, train_dataset):
         model = MCDC(n_clusters=3, random_state=0).fit(train_dataset)

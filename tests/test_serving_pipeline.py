@@ -960,8 +960,7 @@ class TestWarmupAndCli:
     def test_warm_up_runs_the_full_predict_path(self, vot_model):
         server = ModelServer(vot_model, once=True)
         try:
-            result = server.warm_up()
-            assert isinstance(result, bool)
+            assert server.warm_up() is None
             assert server.model.assignment_model_._cache is not None
         finally:
             server.shutdown()
