@@ -19,11 +19,21 @@ Measurements pinned into the ``BENCH_engine.json`` trajectory:
   suite stays fast; export ``REPRO_BENCH_FULL=1`` to run the paper's full
   n=200 000 scale (the loop reference is skipped there — it needs minutes
   per sweep, which is the point of the engine).
+* ``test_fit_peak_memory`` — record-only: the peak memory of
+  ``MCDC(n_clusters=8).fit`` on perfbench's fit-local data, each repeat in
+  fresh processes: the process's ``ru_maxrss`` (imports included, as
+  perfbench's ``peak_rss_mb``) and, in a second process, the fit's
+  ``tracemalloc`` peak (the engine's arrays alone); n=50 000 with
+  ``REPRO_BENCH_FULL=1``, else smoke-scaled to 5 000.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -31,7 +41,7 @@ import numpy as np
 from benchmarks import reporting
 from repro.core.mgcpl import MGCPL, cluster_weight_from_delta, winning_ratio
 from repro.data.generators import make_categorical_clusters
-from repro.engine import make_engine
+from repro.engine import make_engine, state_from_labels
 from repro.engine import packed as packed_mod
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -129,6 +139,7 @@ def test_fit_local_sweep_and_reassignment(benchmark, monkeypatch):
     labels = rng.integers(0, LOCAL_K, size=LOCAL_N)
     omega = rng.random((LOCAL_D, LOCAL_K))
     alive = rng.random(LOCAL_K) < 1 / 3
+    state = state_from_labels(codes, cats, labels, LOCAL_K)
     engine = make_engine(codes, cats, LOCAL_K, kind="dense", labels=labels)
     u = cluster_weight_from_delta(np.ones(LOCAL_K))
     rho = winning_ratio(np.zeros(LOCAL_K))
@@ -140,7 +151,7 @@ def test_fit_local_sweep_and_reassignment(benchmark, monkeypatch):
         return engine.competitive_sweep(labels, u, rho, omega, blocked)
 
     def reassign():
-        return estimator._reassign_dead_members(codes, cats, labels, alive, omega)
+        return estimator._reassign_dead_members(codes, cats, labels, alive, omega, state)
 
     def timed(fn):
         start = time.perf_counter()
@@ -244,3 +255,91 @@ def test_mgcpl_fit_wall_clock(benchmark):
         MGCPL(engine="loop", max_epochs=5, random_state=3).fit(ds)
         loop_seconds = time.perf_counter() - start
         benchmark.extra_info["loop_fit_seconds"] = loop_seconds
+
+
+REPO_SRC = os.path.join(reporting.REPO_ROOT, "src")
+MEMORY_REPEATS = 5
+
+#: One fit in a fresh interpreter, importing what perfbench's fit-local
+#: pass imports before it fits; prints fit seconds, ``ru_maxrss`` and, when
+#: traced, the ``tracemalloc`` peak of the fit alone.
+_FIT_MEMORY_SCRIPT = textwrap.dedent("""
+    import json, resource, sys, time, tracemalloc
+    import numpy as np
+    from repro import MCDC
+    from repro.data.generators import make_categorical_clusters
+    from repro.metrics.pair_counting import adjusted_rand_index
+
+    n, seed, traced = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1"
+    data = make_categorical_clusters(
+        n_objects=n, n_features=12, n_clusters=8, n_categories=6, purity=0.75,
+        random_state=seed, name="fit-local",
+    )
+    codes = np.ascontiguousarray(data.codes)
+    if traced:
+        tracemalloc.start()
+    started = time.perf_counter()
+    labels = MCDC(n_clusters=8, random_state=seed).fit(codes).labels_
+    fit_seconds = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1] if traced else 0
+    print(json.dumps({
+        "fit_seconds": fit_seconds,
+        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "tracemalloc_peak_mb": peak / 2**20,
+        "ari": adjusted_rand_index(data.labels, labels),
+    }))
+""")
+
+
+def fit_memory(src=REPO_SRC, n=LOCAL_N, seed=1, traced=False):
+    """Run :data:`_FIT_MEMORY_SCRIPT` against the sources in ``src``; its JSON line.
+
+    Run untraced for ``ru_maxrss`` (tracing adds its own memory and time)
+    and traced for the fit's ``tracemalloc`` peak.
+    """
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _FIT_MEMORY_SCRIPT, str(n), str(seed), "1" if traced else "0"],
+        capture_output=True, text=True, env=env, cwd=os.path.dirname(src), timeout=600,
+        check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def fit_memory_summary(runs):
+    """Median, q1 and q3 of ``ru_maxrss`` and the traced peak over repeats."""
+    summary = {}
+    for field, key in (("ru_maxrss_mb", "untraced"), ("tracemalloc_peak_mb", "traced")):
+        q1, median, q3 = np.percentile([run[key][field] for run in runs], [25, 50, 75])
+        summary.update({field: float(median), f"{field}_q1": float(q1), f"{field}_q3": float(q3)})
+    summary["fit_seconds"] = float(np.median([run["untraced"]["fit_seconds"] for run in runs]))
+    return summary
+
+
+def test_fit_peak_memory(benchmark):
+    """Record-only: ``MCDC(n_clusters=8).fit``'s peak memory, fresh processes.
+
+    Each repeat runs one untraced and one traced process; the entry holds
+    the median, q1 and q3 of both peaks over :data:`MEMORY_REPEATS`
+    repeats.  :func:`fit_memory` takes another tree's ``src`` too, so a
+    parent/change pair can be recorded the same way.
+    """
+
+    def repeats():
+        return [
+            {"untraced": fit_memory(), "traced": fit_memory(traced=True)}
+            for _ in range(MEMORY_REPEATS)
+        ]
+
+    runs = benchmark.pedantic(repeats, iterations=1, rounds=1)
+    assert len({run["untraced"]["ari"] for run in runs}) == 1
+    summary = fit_memory_summary(runs)
+    # The fit's own arrays are a part of the process's peak.
+    assert 0 < summary["tracemalloc_peak_mb"] < summary["ru_maxrss_mb"]
+    benchmark.extra_info.update(summary)
+    reporting.record(
+        "engine", "fit_peak_memory",
+        n=LOCAL_N, d=LOCAL_D, k=8, wall_seconds=summary["fit_seconds"],
+        repeats=MEMORY_REPEATS, **summary,
+        subject="MCDC(n_clusters=8).fit on perfbench's fit-local data, seed 1",
+    )

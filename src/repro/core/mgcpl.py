@@ -51,7 +51,7 @@ from repro.core.base import (
     dataset_onehot_cache,
 )
 from repro.core.sync import InProcessShardExecutor, SweepBroadcast
-from repro.engine import make_engine, resolve_engine_kind
+from repro.engine import EngineState, make_engine, resolve_engine_kind, state_from_labels
 from repro.registry import register_clusterer
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -534,7 +534,7 @@ class MGCPL(BaseClusterer):
             labels = outcome.labels
             if self.use_feature_weights:
                 omega = state.feature_cluster_weights()
-        labels = self._reassign_dead_members(codes, n_categories, labels, alive, omega)
+        labels = self._reassign_dead_members(codes, n_categories, labels, alive, omega, state)
         return labels, delta, n_sweeps
 
     def _reassign_dead_members(
@@ -544,32 +544,40 @@ class MGCPL(BaseClusterer):
         labels: np.ndarray,
         alive: np.ndarray,
         omega: np.ndarray,
+        state: EngineState,
     ) -> np.ndarray:
         """Move objects still attached to eliminated clusters to their best surviving cluster.
 
         Needed when an epoch runs out of sweeps before the partition
-        re-stabilises after a starvation event; a coordinator-side engine is
-        built on demand (the common converged case has nothing stranded and
-        skips the work entirely).  Only the stranded rows are scored
-        (:meth:`~repro.engine.base.FrequencyEngine.nearest_clusters`), one
+        re-stabilises after a starvation event (the common converged case
+        has nothing stranded and skips the work entirely).  ``state`` holds
+        the counts of ``labels``.  The stranded rows are scored against the
+        counts of the other rows: ``state`` minus the stranded rows' own
+        counts, exact because counts are integer-valued floats.  So the
+        engine built here holds only the stranded rows, and it scores them
+        (:meth:`~repro.engine.base.FrequencyEngine.nearest_clusters`) one
         row block at a time on the packed engines.
         """
         labels = labels.copy()
-        stranded = (labels < 0) | ~alive[np.clip(labels, 0, alive.size - 1)]
-        if not stranded.any():
+        stranded = np.flatnonzero((labels < 0) | ~alive[np.clip(labels, 0, alive.size - 1)])
+        if not stranded.size:
             return labels
-        table = make_engine(
-            codes,
-            n_categories,
-            alive.size,
-            kind=self.engine,
-            labels=np.where(stranded, -1, labels),
+        rows = codes[stranded]
+        own = state_from_labels(rows, n_categories, labels[stranded], alive.size)
+        table = make_engine(rows, n_categories, alive.size, kind=self.engine)
+        table.restore(
+            EngineState(
+                state.packed - own.packed,
+                state.valid_counts - own.valid_counts,
+                state.sizes - own.sizes,
+                state.n_categories,
+            )
         )
         allowed = alive & (table.sizes > 0)
         if not allowed.any():
             allowed = alive
         labels[stranded] = table.nearest_clusters(
-            np.flatnonzero(stranded),
+            np.arange(stranded.size),
             allowed,
             feature_weights=omega if self.use_feature_weights else None,
         )
@@ -693,5 +701,7 @@ class MGCPL(BaseClusterer):
                 starved_this_epoch = True
                 alive &= ~starving
                 delta[starving] = -20.0
-        labels = self._reassign_dead_members(codes, n_categories, labels, alive, omega)
+        labels = self._reassign_dead_members(
+            codes, n_categories, labels, alive, omega, table.snapshot()
+        )
         return labels, delta, n_sweeps

@@ -43,11 +43,13 @@ float matrices (similarities, scores, the argmax passes and gathers over
 them) — at ``n = 50 000``, ``k = 224`` each is ~89 MB, far beyond L2.  The
 fused sweep computes every object's leave-one-out similarity once, then
 runs each block of rows through similarity, the correction, scoring and
-selection before the next block starts.  The similarities and scores of a
-block live in two ``(rows, k)`` buffers, and only five per-row vectors
-(winners, rivals, their similarities, has-rival) outlive a block.  The
-Eqs. 10-13 statistics are then accumulated once over the full vectors in
-object order, exactly as over an unblocked sweep.
+selection before the next block starts.  A block's one-hot is cast from
+the one-byte cache into a float64 ``(rows, M)`` buffer, its similarities
+and scores live in two ``(rows, k)`` buffers, and its leave-one-out keys
+in a ``(d, rows)`` int64 array; only five per-row vectors (winners,
+rivals, their similarities, has-rival) outlive a block.  The Eqs. 10-13
+statistics are then accumulated once over the full vectors in object
+order, exactly as over an unblocked sweep.
 
 Block workers
 -------------
@@ -57,7 +59,7 @@ passes and gathers of selection) release the GIL.  So the blocks of a sweep
 run on :func:`block_workers` threads — the process's CPU share
 (:func:`repro.utils.blas.cpu_share`), one per block at most, and only the
 calling thread below two blocks.  Each worker takes the next block from a
-shared iterator into its own two buffers and writes only that block's
+shared iterator into its own three buffers and writes only that block's
 slices of the five vectors; the statistics still run once, in object order,
 after all workers are done.  While they run, OpenBLAS is held at one thread,
 so workers and BLAS threads never oversubscribe the cores, and the caller's
@@ -77,11 +79,16 @@ holds OpenBLAS at one thread even with one worker, so no BLAS helper
 thread is left spinning into the next sweep.  Only those rows are encoded
 and scored, and no ``(n, k)`` array exists at any point of a fit.
 
-A block holds :data:`SWEEP_BLOCK_BYTES` (1 MiB) of ``(rows, k)`` float64
-scores, but never fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer
-than :data:`SWEEP_BLOCK_MIN_MACS` multiply-adds (:func:`block_floor`).  The
-rows are split evenly, so there is no short tail block, into a multiple of
-the worker count.  Only a pass over fewer rows than the floor has a short
+A block's whole working set — the float64 one-hot cast, the two
+``(rows, k)`` buffers and the leave-one-out keys, :func:`block_row_bytes`
+a row — fits :data:`SWEEP_BLOCK_BYTES` (4 MiB), so blocks shrink as ``M``,
+``k`` or ``d`` grow and no longer grow without bound as ``k`` falls.  But a
+block never has fewer than :data:`SWEEP_BLOCK_MIN_ROWS` rows nor fewer than
+:data:`SWEEP_BLOCK_MIN_MACS` multiply-adds (:func:`block_floor`); where the
+floor binds (``k = 224`` or ``k = 5`` at ``M = 72``) a block may outgrow
+the budget.  The rows are split evenly, so there is no short tail block,
+into as few blocks as the budget allows, rounded up to a multiple of the
+worker count.  Only a pass over fewer rows than the floor has a short
 block — a small engine or shard, a short reassignment tail — and its
 one-hot is multiplied padded with zero rows up to the floor, the padded
 rows' products dropped before the leave-one-out correction.  The floors
@@ -96,12 +103,19 @@ loop-order sum — bit for bit.  ``similarity_matrix`` walks the same blocks.
 
 Bounded memory
 --------------
-An engine caches the ``(n, M)`` one-hot of its own codes while it has at
-most :data:`ONEHOT_MAX_CELLS` cells (512 MB of float64), and slices each
-block from it.  Above that every block is encoded afresh, so peak memory
-is ``O(rows * (M + k))`` whatever ``n`` is; the bits are the same either
-way.  CAME's weighted Hamming assignment needs no one-hot at all
-(:meth:`~repro.engine.base.FrequencyEngine.hamming_distances`).
+An engine caches the ``(n, M)`` one-hot of its own codes at one byte a cell
+(``bool``, 3.6 MB at ``n = 50 000``, ``M = 72``, where float64 took 28.8 MB)
+while it has at most :data:`ONEHOT_MAX_CELLS` cells (64 MB), and each block
+worker casts its block's slice into its own float64 buffer, so the GEMM
+multiplies C-contiguous float64 rows.  Above the cap every block is
+encoded afresh.  Either way the bits are the same, and besides the per-row
+codes and vectors of the engine, a pass holds at most one block's working
+set per worker: :data:`SWEEP_BLOCK_BYTES` while the floor does not bind.
+The cache stays because it pays for its byte a cell: at ``n = 50 000`` a
+streamed sweep took about twice a cached one at ``k = 8`` (15.6 against
+8.0 ms, 2-CPU host) and 1.6 times at ``k = 224`` (65 against 42 ms).  CAME's weighted Hamming assignment needs no one-hot at all
+(:meth:`~repro.engine.base.FrequencyEngine.hamming_distances`), and MGCPL's
+reassignment builds an engine over its stranded rows only.
 """
 
 from __future__ import annotations
@@ -124,11 +138,12 @@ from repro.utils.blas import cpu_share, one_blas_thread, run_in_threads
 from repro.utils.validation import check_array_2d, check_positive_int
 
 #: ``n * M`` one-hot cells up to which an engine caches its codes' whole
-#: one-hot (64M float64 cells = 512 MB); above it each block is encoded afresh.
+#: one-hot (64M one-byte cells = 64 MB); above it each block is encoded afresh.
 ONEHOT_MAX_CELLS = 1 << 26
 
-#: Byte budget of one fused-sweep block's ``(rows, k)`` float64 scores.
-SWEEP_BLOCK_BYTES = 1 << 20
+#: Byte budget of one fused-sweep block's whole working set
+#: (:func:`block_row_bytes` per row).
+SWEEP_BLOCK_BYTES = 1 << 22
 
 #: Fewest rows in a fused-sweep block; thinner GEMMs change the bits.
 SWEEP_BLOCK_MIN_ROWS = 1024
@@ -144,9 +159,22 @@ def block_floor(k: int, n_values: int) -> int:
     return max(SWEEP_BLOCK_MIN_ROWS, SWEEP_BLOCK_MIN_MACS // (k * n_values) + 1)
 
 
-def sweep_rows(k: int, n_values: int) -> int:
-    """Target rows per fused-sweep block for ``k`` clusters and ``M`` values."""
-    return max(block_floor(k, n_values), SWEEP_BLOCK_BYTES // (8 * k))
+def block_row_bytes(k: int, n_values: int, n_features: int) -> int:
+    """Working-set bytes of one row of a sweep block.
+
+    Its float64 one-hot row (``M`` cells), its rows of the two ``(rows, k)``
+    float64 buffers (similarities and scores) and its ``d`` int64
+    leave-one-out keys.
+    """
+    return 8 * (n_values + 2 * k + n_features)
+
+
+def sweep_rows(k: int, n_values: int, n_features: int) -> int:
+    """Most rows of a fused-sweep block within :data:`SWEEP_BLOCK_BYTES`, floor permitting."""
+    return max(
+        block_floor(k, n_values),
+        SWEEP_BLOCK_BYTES // block_row_bytes(k, n_values, n_features),
+    )
 
 
 def even_blocks(n: int, n_blocks: int) -> List[Tuple[int, int]]:
@@ -154,17 +182,25 @@ def even_blocks(n: int, n_blocks: int) -> List[Tuple[int, int]]:
     return [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
 
 
-def sweep_blocks(n: int, k: int, n_values: int, workers: int = 1) -> List[Tuple[int, int]]:
+def sweep_blocks(
+    n: int, k: int, n_values: int, n_features: int, workers: int = 1
+) -> List[Tuple[int, int]]:
     """``(start, stop)`` row blocks of a fused sweep over ``n`` objects.
 
-    ``n // rows`` blocks of near-equal size (at least one), rounded down to
-    a multiple of ``workers`` when there are at least that many, so every
-    block of a multi-block sweep has at least :func:`sweep_rows` rows and
-    ``workers`` threads get equal shares.
+    Near-equal blocks of at most :func:`sweep_rows` rows, as few as that
+    allows, their count rounded up to a multiple of ``workers`` so the
+    threads get equal shares.  No block may fall below :func:`block_floor`:
+    where that many blocks would, there are ``n // floor`` (at least one),
+    rounded down to a multiple of ``workers`` when there are at least that
+    many, and only then can a block outgrow the byte budget.
     """
-    n_blocks = max(1, n // sweep_rows(k, n_values))
-    n_blocks -= n_blocks % min(max(1, workers), n_blocks)
-    return even_blocks(n, n_blocks)
+    workers = max(1, workers)
+    n_blocks = -(-n // sweep_rows(k, n_values, n_features))
+    n_blocks = -(-n_blocks // workers) * workers
+    most = max(1, n // block_floor(k, n_values))
+    if n_blocks > most:
+        n_blocks = most - most % min(workers, most)
+    return even_blocks(n, max(1, n_blocks))
 
 
 def block_workers(n_blocks: int) -> int:
@@ -347,8 +383,9 @@ class PackedFrequencyEngine(FrequencyEngine):
     # ------------------------------------------------------------------ #
     def _row_blocks(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
         """``(blocks, workers)`` of a fused-sweep pass over ``n`` rows."""
-        workers = block_workers(len(sweep_blocks(n, self.n_clusters, self.n_values)))
-        return sweep_blocks(n, self.n_clusters, self.n_values, workers), workers
+        shape = (self.n_clusters, self.n_values, self.codes.shape[1])
+        workers = block_workers(len(sweep_blocks(n, *shape)))
+        return sweep_blocks(n, *shape, workers), workers
 
     def _row_parts(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
         """One contiguous part of ``n`` rows per block worker, and their count.
@@ -492,12 +529,22 @@ class PackedFrequencyEngine(FrequencyEngine):
         return np.ascontiguousarray(weights.T)
 
     def _one_hot(self, packed_codes: np.ndarray) -> np.ndarray:
-        """Dense ``(b, M)`` one-hot encoding of a block of packed codes."""
-        b, d = packed_codes.shape
-        onehot = np.zeros((b, self.n_values), dtype=np.float64)
-        mask = packed_codes >= 0
-        rows = np.broadcast_to(np.arange(b)[:, None], (b, d))
-        onehot[rows[mask], packed_codes[mask]] = 1.0
+        """Dense ``(b, M)`` one-hot encoding of a block of packed codes, one byte a cell.
+
+        Every column compares its feature's code with its own packed value,
+        written straight into the one-hot (a missing ``-1`` matches no
+        column).  The rows go in chunks whose gathered ``(rows, M)`` int64
+        codes fit :data:`SWEEP_BLOCK_BYTES`, so no ``(b, d)`` index array
+        is built.
+        """
+        b, M = packed_codes.shape[0], self.n_values
+        onehot = np.empty((b, M), dtype=np.bool_)
+        features = np.repeat(np.arange(len(self.n_categories)), self.n_categories)
+        columns = np.arange(M)
+        chunk = max(1, SWEEP_BLOCK_BYTES // (8 * M))
+        for start in range(0, b, chunk):
+            part = slice(start, start + chunk)
+            np.equal(packed_codes[part].take(features, axis=1), columns, out=onehot[part])
         return onehot
 
     def _loo_table(self, feature_weights: Optional[np.ndarray]) -> np.ndarray:
@@ -559,14 +606,19 @@ class PackedFrequencyEngine(FrequencyEngine):
         own: Optional[np.ndarray] = None,
         loo: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
+        *,
+        cast: np.ndarray,
     ) -> np.ndarray:
         """``(b, k)`` similarities of a block of objects, from its one-hot.
 
         With ``own`` given, the cell of object ``i``'s cluster ``own[i] >= 0``
         holds its leave-one-out similarity ``loo[i]`` instead.  ``out`` is an
-        optional C-contiguous ``(b, k)`` buffer for the result.  A block of
-        fewer than :func:`block_floor` rows is multiplied padded with zero
-        rows up to the floor, so its GEMM keeps the whole-matrix bits too.
+        optional C-contiguous ``(b, k)`` buffer for the result.  The one-byte
+        ``onehot`` is cast into ``cast``, a C-contiguous float64 ``(b, M)``
+        buffer, so the GEMM multiplies float64 rows.  A block of
+        fewer than :func:`block_floor` rows is cast into a zero-padded buffer
+        of the floor's rows instead, so its GEMM keeps the whole-matrix bits
+        too.
         """
         if onehot.shape[0] < block_floor(self.n_clusters, self.n_values):
             sims = self._padded_product(onehot, column_weights)
@@ -574,7 +626,8 @@ class PackedFrequencyEngine(FrequencyEngine):
                 out[...] = sims
                 sims = out
         else:
-            sims = np.matmul(onehot, column_weights, out=out)
+            np.copyto(cast, onehot)
+            sims = np.matmul(cast, column_weights, out=out)
         sims /= self.codes.shape[1]
         if own is not None:
             rows = np.flatnonzero(own >= 0)
@@ -632,7 +685,9 @@ class PackedFrequencyEngine(FrequencyEngine):
         column_weights = self._column_weights(feature_weights)
         onehot = self._cached_one_hot() if own_codes else None
         sims = np.empty((n, self.n_clusters), dtype=np.float64)
-        for start, stop in sweep_blocks(n, self.n_clusters, self.n_values):
+        blocks = sweep_blocks(n, self.n_clusters, self.n_values, self.codes.shape[1])
+        cast = np.empty((max(b - a for a, b in blocks), self.n_values), dtype=np.float64)
+        for start, stop in blocks:
             part = slice(start, stop)
             self._similarity_block(
                 self._block_one_hot(packed_codes, part, onehot),
@@ -640,6 +695,7 @@ class PackedFrequencyEngine(FrequencyEngine):
                 None if own is None else own[part],
                 None if loo is None else loo[part],
                 out=sims[part],
+                cast=cast[: stop - start],
             )
         return sims
 
@@ -733,8 +789,10 @@ class PackedFrequencyEngine(FrequencyEngine):
         has_rival = np.empty(n, dtype=np.bool_)
 
         def sweep(todo) -> None:
-            # One worker's blocks, through its own (rows, k) buffers; it
-            # writes only its blocks' slices of the five per-row vectors.
+            # One worker's blocks, through its own float64 one-hot and
+            # (rows, k) buffers; it writes only its blocks' slices of the
+            # five per-row vectors.
+            cast_buffer = np.empty((rows, self.n_values), dtype=np.float64)
             sims_buffer = np.empty((rows, k), dtype=np.float64)
             scores_buffer = np.empty_like(sims_buffer)
             for start, stop, block_onehot in todo:
@@ -745,6 +803,7 @@ class PackedFrequencyEngine(FrequencyEngine):
                     labels[part],
                     self._loo_own_similarity(cells[:, part], own[part], loo_table),
                     out=sims_buffer[: stop - start],
+                    cast=cast_buffer[: stop - start],
                 )
                 (
                     winners[part],
@@ -803,9 +862,12 @@ class PackedFrequencyEngine(FrequencyEngine):
         column_weights = self._column_weights(feature_weights)
 
         def reassign(todo) -> None:
+            cast = np.empty((size, self.n_values), dtype=np.float64)
             buffer = np.empty((size, self.n_clusters), dtype=np.float64)
             for lo, hi, onehot in todo:
-                sims = self._similarity_block(onehot, column_weights, out=buffer[: hi - lo])
+                sims = self._similarity_block(
+                    onehot, column_weights, out=buffer[: hi - lo], cast=cast[: hi - lo]
+                )
                 sims[:, disallowed] = -np.inf
                 nearest[lo:hi] = sims.argmax(axis=1)
 

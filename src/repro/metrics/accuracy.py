@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.metrics.contingency import contingency_matrix
 
@@ -16,6 +15,10 @@ def clustering_accuracy(labels_true, labels_pred) -> float:
     Hungarian algorithm on the contingency table (the standard definition used
     by the paper).
     """
+    # scipy is imported here, not at module level: the other indices (ARI
+    # above all) need none of its ~40 MB of modules and libraries.
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency_matrix(labels_true, labels_pred)
     n = table.sum()
     size = max(table.shape)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.utils.validation import check_labels
 
@@ -35,6 +34,8 @@ def relabel_to_match(labels_true, labels_pred) -> np.ndarray:
     prediction has more clusters than the ground truth) keep fresh ids beyond
     the true-class range.
     """
+    from scipy.optimize import linear_sum_assignment
+
     labels_true = check_labels(labels_true, name="labels_true")
     labels_pred = check_labels(labels_pred, n=labels_true.shape[0], name="labels_pred")
     table = contingency_matrix(labels_true, labels_pred)

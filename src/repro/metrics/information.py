@@ -9,7 +9,6 @@ scikit-learn implementation the paper relies on.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.metrics.contingency import contingency_matrix
 from repro.utils.validation import check_labels
@@ -49,6 +48,8 @@ def normalized_mutual_information(labels_true, labels_pred, average: str = "arit
 
 def expected_mutual_information(table: np.ndarray) -> float:
     """Expected MI of two labelings with the marginals of ``table`` under the permutation model."""
+    from scipy.special import gammaln
+
     table = np.asarray(table, dtype=np.float64)
     n = table.sum()
     a = table.sum(axis=1)  # true-class sizes

@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from scipy.stats import norm
-
 
 @dataclass(frozen=True)
 class WilcoxonResult:
@@ -77,6 +75,8 @@ def _exact_p_value(w_plus: float, ranks: np.ndarray, alternative: str) -> float:
 
 def _normal_p_value(w_plus: float, ranks: np.ndarray, alternative: str) -> float:
     """Normal approximation with tie correction and continuity correction."""
+    from scipy.stats import norm
+
     n = len(ranks)
     mean = n * (n + 1) / 4.0
     # Tie correction term on the variance.

@@ -3,8 +3,11 @@ what that model needs.
 
 ``networkx`` (ADC's value graph), the baselines and the sharded runtime cost
 a fresh process about 200 ms and 14 MB before its first answer, and an MCDC
-model needs none of them.  Each case runs in a fresh subprocess, since the
-pytest process has long imported everything.
+model needs none of them.  Neither does the adjusted Rand index need
+``scipy``, whose modules and OpenBLAS cost a process about 39 MB of RSS:
+the metrics and statistics packages import it only inside the functions
+that call it.  Each case runs in a fresh subprocess, since the pytest
+process has long imported everything.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 
 from repro.core import MCDC
 from repro.data.generators import make_categorical_clusters
+from repro.metrics import adjusted_mutual_information, adjusted_rand_index, clustering_accuracy
 from repro.persistence import save_model
+from repro.stats import wilcoxon_signed_rank
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,3 +112,42 @@ def test_adc_and_graph_distances_still_import_networkx_where_used():
     assert out["n_labels"] == 2
     assert len(out["shapes"]) == 4
     assert all(rows == cols for rows, cols in out["shapes"])
+
+
+def test_metrics_import_scipy_only_where_called():
+    rng = np.random.default_rng(4)
+    truth, pred = rng.integers(0, 4, 300), rng.integers(0, 5, 300)
+    # 30 pairs take the normal approximation, the only scipy-backed p-value.
+    x, y = rng.random(30), rng.random(30)
+    out = run_script("""
+        import json, sys
+        import numpy as np
+
+        def scipy_loaded():
+            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+        import repro.metrics, repro.stats
+        from repro.metrics.pair_counting import adjusted_rand_index
+        truth, pred, x, y = (np.array(v) for v in json.loads(sys.argv[1]))
+        after_import = scipy_loaded()
+        ari = adjusted_rand_index(truth, pred)
+        after_ari = scipy_loaded()
+        acc = repro.metrics.clustering_accuracy(truth, pred)
+        after_acc = "scipy.optimize" in sys.modules
+        ami = repro.metrics.adjusted_mutual_information(truth, pred)
+        after_ami = "scipy.special" in sys.modules
+        p_value = repro.stats.wilcoxon_signed_rank(x, y).p_value
+        after_wilcoxon = "scipy.stats" in sys.modules
+        print(json.dumps({
+            "after_import": after_import, "after_ari": after_ari, "ari": ari,
+            "acc": acc, "ami": ami, "p_value": p_value,
+            "loaded": [after_acc, after_ami, after_wilcoxon],
+        }))
+    """, json.dumps([truth.tolist(), pred.tolist(), x.tolist(), y.tolist()]))
+    assert out["after_import"] == []
+    assert out["after_ari"] == []
+    assert out["ari"] == adjusted_rand_index(truth, pred)
+    assert out["acc"] == clustering_accuracy(truth, pred)
+    assert out["ami"] == adjusted_mutual_information(truth, pred)
+    assert out["p_value"] == wilcoxon_signed_rank(x, y).p_value
+    assert out["loaded"] == [True, True, True]

@@ -59,6 +59,7 @@ from repro.engine import (
     PackedFrequencyEngine,
     make_engine,
     resolve_engine_kind,
+    state_from_labels,
 )
 from repro.utils.blas import blas_threads
 
@@ -340,7 +341,7 @@ class TestBackendSelection:
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         k = 19
         _, n, n_blocks = layout("uneven", k)
-        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == n_blocks
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS), len(SWEEP_CATS))) == n_blocks
         codes, labels, broadcast = sweep_problem(11, n, k, False, True)
         cached = make_engine(codes, SWEEP_CATS, k, kind="dense")
         streamed = packed_engine(codes, SWEEP_CATS, k, STREAMED)
@@ -454,7 +455,7 @@ def layout(name, k):
     3.33 floors in three blocks of unequal size.  Call it with the budget
     at ``FLOORS``, so that :func:`sweep_rows` returns the floor.
     """
-    rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+    rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS), len(SWEEP_CATS))
     return {
         "one-block": (ONE_BLOCK, 3 * rows + rows // 3, 1),
         "exact-multiple": (FLOORS, 3 * rows, 3),
@@ -511,7 +512,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         budget, n, n_blocks = layout(layout_name, k)
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", budget)
-        blocks = packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))
+        blocks = packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS), len(SWEEP_CATS))
         assert len(blocks) == n_blocks
         codes, labels, broadcast = sweep_problem(k + n, n, k, first_sweep, weighted)
         blocked = packed_engine(codes, SWEEP_CATS, k, kind)
@@ -525,23 +526,38 @@ class TestBlockedSweep:
 
     def test_sweep_blocks_layout(self, monkeypatch):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
-        assert packed_mod.sweep_rows(224, 30) == 1024
+        assert packed_mod.sweep_rows(224, 30, 6) == 1024
         # Small k * M: the multiply-add floor binds (2**21 / (19 * 30)).
-        assert packed_mod.sweep_rows(19, 30) == 3680
-        assert packed_mod.sweep_blocks(3100, 224, 30) == [(0, 1033), (1033, 2066), (2066, 3100)]
-        assert packed_mod.sweep_blocks(500, 224, 30) == [(0, 500)]
-        assert packed_mod.sweep_blocks(0, 224, 30) == [(0, 0)]
+        assert packed_mod.sweep_rows(19, 30, 6) == 3680
+        assert packed_mod.sweep_blocks(3100, 224, 30, 6) == [
+            (0, 1033), (1033, 2066), (2066, 3100)
+        ]
+        assert packed_mod.sweep_blocks(500, 224, 30, 6) == [(0, 500)]
+        assert packed_mod.sweep_blocks(0, 224, 30, 6) == [(0, 0)]
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", 4 << 20)
-        # 4 MiB of k=224 float64 rows is 2340 rows: 50k rows make 21 blocks.
-        blocks = packed_mod.sweep_blocks(50_000, 224, 72)
-        assert len(blocks) == 21
-        assert min(stop - start for start, stop in blocks) >= 2340
+
+        def sizes(k, workers):
+            blocks = packed_mod.sweep_blocks(50_000, k, 72, 12, workers)
+            return len(blocks), max(stop - start for start, stop in blocks)
+
+        # A k=86 row works on 8 * (72 + 2 * 86 + 12) = 2048 bytes, so 4 MiB
+        # holds 2048 rows: 25 blocks, rounded up to 26 for two workers.
+        assert packed_mod.sweep_rows(86, 72, 12) == 2048
+        assert sizes(86, 1) == (25, 2000)
+        assert sizes(86, 2) == (26, 1924)
+        # k=224 rows (4256 bytes) fit 985 to the budget; the 1024-row floor
+        # binds, and 49 blocks would fall below it.
+        assert sizes(224, 1) == (48, 1042)
+        # At k=5 the multiply-add floor (5826 rows) binds: 8 blocks, where the
+        # scores alone used to make one 50k-row block.
+        assert packed_mod.block_floor(5, 72) == 5826
+        assert sizes(5, 2) == (8, 6250)
 
     def test_shards_split_mid_block_match_single_shard(self, monkeypatch):
         """Three uneven shards whose boundaries fall inside sweep blocks."""
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         k = 19
-        rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS), len(SWEEP_CATS))
         n = 5 * rows
         codes, labels, broadcast = sweep_problem(3, n, k, True, True)
         # One shard sweeps five blocks of `rows`; shards of 1.7, 1.2 and 2.1
@@ -579,14 +595,14 @@ class TestBlockedSweep:
         """
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         cats, k = SWEEP_CATS * 2, 19
-        rows = packed_mod.sweep_rows(k, sum(cats))
+        rows = packed_mod.sweep_rows(k, sum(cats), len(cats))
         n = 3 * rows + rows // 3
         codes, labels, broadcast = sweep_problem(12, n, k, False, weighted, cats=cats)
         loop = make_engine(codes, cats, k, kind="loop")
         for _ in range(2):
             update = mgcpl_sweep_local(loop, labels, broadcast, broadcast.state)
             labels, broadcast.state = update.labels, update.state
-        assert len(packed_mod.sweep_blocks(n, k, sum(cats))) == 3
+        assert len(packed_mod.sweep_blocks(n, k, sum(cats), len(cats))) == 3
         if all_blocked:
             broadcast.blocked = np.ones(k, dtype=bool)
         assert_updates_identical(
@@ -656,7 +672,7 @@ class TestBlockedReassignment:
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", ONE_BLOCK)
         expected, stranded, allowed = whole_matrix_reassignment(codes, labels, alive, omega, kind)
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
-        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == n_blocks
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS), len(SWEEP_CATS))) == n_blocks
         n_stranded = {"all": n, "none": 0, "fewer-than-a-block": 10}.get(stranded_set)
         if n_stranded is not None:
             assert stranded.sum() == n_stranded
@@ -665,7 +681,8 @@ class TestBlockedReassignment:
         if kind == STREAMED:
             monkeypatch.setattr(packed_mod, "ONEHOT_MAX_CELLS", 0)
         estimator = MGCPL(engine="dense", use_feature_weights=weighted)
-        got = estimator._reassign_dead_members(codes, SWEEP_CATS, labels, alive, omega)
+        state = state_from_labels(codes, SWEEP_CATS, labels, k)
+        got = estimator._reassign_dead_members(codes, SWEEP_CATS, labels, alive, omega, state)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kind", ["dense", STREAMED])
@@ -699,7 +716,7 @@ class TestBlockedReassignment:
         the workers score under one BLAS thread and the caller's count
         comes back afterwards."""
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
-        rows_per_block = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        rows_per_block = packed_mod.sweep_rows(k, sum(SWEEP_CATS), len(SWEEP_CATS))
         n = 16 * rows_per_block + rows_per_block // 3  # strands over three blocks
         codes, labels, alive = reassign_problem(n + k, n, k, "with-empty-alive")
         omega = np.random.default_rng(k).random((len(SWEEP_CATS), k))
@@ -736,15 +753,75 @@ class TestBlockedReassignment:
         labels = rng.integers(0, k, size=n)
         alive = rng.random(k) < 0.5
         omega = rng.random((d, k))
+        state = state_from_labels(codes, [6] * d, labels, k)
         estimator = MGCPL(engine="dense")
         tracemalloc.start()
         try:
-            got = estimator._reassign_dead_members(codes, [6] * d, labels, alive, omega)
+            got = estimator._reassign_dead_members(codes, [6] * d, labels, alive, omega, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert alive[got].all()
         assert peak < n * k * 8, f"peak {peak / 2**20:.1f} MiB >= one n x k matrix"
+
+
+class TestFitMemory:
+    """What a fit holds per row: a one-byte one-hot cache, sweep blocks
+    within one byte budget, and a reassignment that copies only the
+    stranded rows (perfbench's shape: n=50k, d=12, 6 values a feature)."""
+
+    N, D, M = 50_000, 12, 72
+
+    def test_cached_one_hot_takes_one_byte_a_cell(self):
+        codes = np.random.default_rng(0).integers(-1, 6, size=(self.N, self.D))
+        engine = make_engine(codes, [6] * self.D, 8, kind="dense")
+        onehot = engine._cached_one_hot()
+        assert onehot.nbytes == self.N * self.M
+        assert onehot.dtype.itemsize == 1
+        packed = engine._packed_codes
+        expected = np.zeros((self.N, self.M), dtype=bool)
+        present = np.nonzero(packed >= 0)
+        expected[present[0], packed[present]] = True
+        assert np.array_equal(onehot, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_blocks_stay_within_the_budget(self, workers):
+        """At every k a block's whole working set fits the budget, unless a
+        pass cut into more blocks would put one below :func:`block_floor`."""
+        budget = packed_mod.SWEEP_BLOCK_BYTES
+        for k in range(2, 225):
+            row_bytes = packed_mod.block_row_bytes(k, self.M, self.D)
+            blocks = packed_mod.sweep_blocks(self.N, k, self.M, self.D, workers)
+            floor = packed_mod.block_floor(k, self.M)
+            assert min(stop - start for start, stop in blocks) >= floor
+            if self.N // (len(blocks) + workers) >= floor:
+                largest = max(stop - start for start, stop in blocks)
+                assert largest * row_bytes <= budget, (k, largest)
+
+    def test_reassignment_copies_only_the_stranded_rows(self):
+        """With 1% of the rows stranded, the trace peak of a reassignment
+        stays below one ``(n, d)`` int64 array: no whole-data engine."""
+        n, d, k = self.N, self.D, 40
+        rng = np.random.default_rng(5)
+        codes = rng.integers(-1, 6, size=(n, d))
+        alive = np.ones(k, dtype=bool)
+        alive[::4] = False
+        labels = rng.choice(np.flatnonzero(alive), size=n)
+        stranded = rng.choice(n, size=n // 100, replace=False)
+        labels[stranded[::2]] = -1
+        labels[stranded[1::2]] = 0  # an eliminated cluster
+        state = state_from_labels(codes, [6] * d, labels, k)
+        omega = rng.random((d, k))
+        estimator = MGCPL(engine="dense")
+        tracemalloc.start()
+        try:
+            got = estimator._reassign_dead_members(codes, [6] * d, labels, alive, omega, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alive[got].all()
+        assert np.array_equal(np.delete(got, stranded), np.delete(labels, stranded))
+        assert peak < n * d * 8, f"peak {peak / 2**20:.1f} MiB >= one (n, d) int64 array"
 
 
 
@@ -788,16 +865,16 @@ class TestBlockWorkers:
     @pytest.mark.parametrize("k", [19, 224])
     def test_kernels_match_one_worker(self, monkeypatch, size, kind, k):
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
-        rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        rows = packed_mod.sweep_rows(k, sum(SWEEP_CATS), len(SWEEP_CATS))
         n = WORKER_SIZES[size](rows, k)
         codes, labels, broadcast = sweep_problem(n + k, n, k, False, True)
         outputs = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(packed_mod, "cpu_share", lambda: workers)
             blocks, used = make_engine(codes, SWEEP_CATS, k, kind="dense")._row_blocks(n)
-            natural = len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS)))
+            natural = len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS), len(SWEEP_CATS)))
             # No thread below two blocks; above, at most one per block, and
-            # the block count is rounded down to a multiple of them.
+            # the block count is a multiple of them.
             assert used == (1 if natural < 2 else min(workers, natural))
             assert len(blocks) % used == 0
             assert min(stop - start for start, stop in blocks) >= min(n, rows)
@@ -821,7 +898,7 @@ class TestBlockWorkers:
         short = packed_engine(codes[:10], SWEEP_CATS, k, kind)
         whole.restore(broadcast.state)
         short.restore(broadcast.state)
-        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS))) == 1
+        assert len(packed_mod.sweep_blocks(n, k, sum(SWEEP_CATS), len(SWEEP_CATS))) == 1
         expected = whole.similarity_matrix(feature_weights=omega, exclude_labels=labels)[:10]
         got = short.similarity_matrix(feature_weights=omega, exclude_labels=labels[:10])
         assert got.tobytes() == expected.tobytes()
@@ -881,7 +958,7 @@ class TestBlockWorkers:
         monkeypatch.setattr(packed_mod, "SWEEP_BLOCK_BYTES", FLOORS)
         monkeypatch.setattr(packed_mod, "cpu_share", lambda: 2)
         k = 224
-        n = 4 * packed_mod.sweep_rows(k, sum(SWEEP_CATS))
+        n = 4 * packed_mod.sweep_rows(k, sum(SWEEP_CATS), len(SWEEP_CATS))
         codes, labels, broadcast = sweep_problem(5, n, k, False, False)
         engine = make_engine(codes, SWEEP_CATS, k, kind="dense")
         engine.restore(broadcast.state)

@@ -16,6 +16,7 @@ from repro.core import CAME, MCDC, MGCPL
 from repro.core.mcdc import MCDCEncoder
 from repro.core.mgcpl import cluster_weight_from_delta, winning_ratio
 from repro.core.sync import InProcessShardExecutor, SweepBroadcast, contiguous_shards
+from repro.data.generators import make_categorical_clusters
 from repro.data.uci.registry import load_dataset
 from repro.distributed import (
     MultiGranularPartitioner,
@@ -27,6 +28,7 @@ from repro.distributed import (
     resolve_shard_indices,
 )
 from repro.engine import make_engine, state_from_labels
+from repro.engine import packed as packed_mod
 from repro.experiments.runner import map_trials
 from repro.metrics import adjusted_rand_index
 
@@ -114,6 +116,25 @@ class TestShardedMGCPL:
         sharded = ShardedMGCPL(n_shards=4, backend="serial", random_state=7).fit(dataset)
         assert adjusted_rand_index(serial.labels_, sharded.labels_) >= 0.95
         assert abs(sharded.result_.final_k - serial.result_.final_k) <= 1
+
+    def test_shard_below_the_block_floor_matches_the_loop_oracle(self):
+        """Uneven shards, the first below :func:`block_floor`, the others
+        above it at the first level (k0 = 49, M = 48): each shard's GEMM
+        keeps the whole-matrix bits, so labels, encoding and kappa equal
+        the loop engine's serial fit."""
+        data = make_categorical_clusters(
+            n_objects=2400, n_features=8, n_clusters=4, n_categories=6,
+            purity=0.8, random_state=3, name="small-shard",
+        )
+        shards = [np.arange(0, 150), np.arange(150, 1250), np.arange(1250, 2400)]
+        floor = packed_mod.block_floor(49, sum(data.n_categories))
+        assert len(shards[0]) < floor <= min(len(shards[1]), len(shards[2]))
+        loop = MGCPL(engine="loop", random_state=2).fit(data)
+        sharded = ShardedMGCPL(n_shards=shards, backend="serial", random_state=2).fit(data)
+        assert sharded.result_.initial_k == 49
+        assert sharded.kappa_ == loop.kappa_
+        np.testing.assert_array_equal(sharded.labels_, loop.labels_)
+        np.testing.assert_array_equal(sharded.encoding_, loop.encoding_)
 
     def test_partition_plan_sharding(self, small_clusters):
         plan = MultiGranularPartitioner(3, random_state=0).fit_partition(small_clusters)
